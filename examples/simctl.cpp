@@ -24,11 +24,13 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,11 +45,12 @@ using namespace deepum;
 
 namespace {
 
+/** Print usage (to stdout for --help, else stderr) and exit. */
 [[noreturn]] void
-usage()
+usage(int status = 2)
 {
     std::fprintf(
-        stderr,
+        status == 0 ? stdout : stderr,
         "usage: simctl --model <name> [--batch N] [--system "
         "um|deepum|ocdnn|ideal]\n"
         "              [--gpu-mib N] [--host-mib N] [--iters N] "
@@ -56,7 +59,8 @@ usage()
         "[--succs N]\n"
         "              [--no-prefetch] [--no-preevict] "
         "[--no-invalidate]\n"
-        "              [--seed N] [--dump-stats] [--list-models]\n"
+        "              [--seed N] [--dump-stats] [--list-models] "
+        "[--help]\n"
         "              [--trace <file>] [--stats-json <file>]\n"
         "              [--ledger] [--report <file|->] "
         "[--thrash-window N]\n"
@@ -84,8 +88,15 @@ usage()
         "  --service-threads N  shards for fault-batch servicing "
         "(0 = one\n"
         "                       per core; stats are byte-identical "
-        "at any N)\n");
-    std::exit(2);
+        "at any N)\n"
+        "\n"
+        "  Numbers are unsigned decimal integers; each flag rejects "
+        "values outside\n"
+        "  its field (32 bits for counts and table geometry) and "
+        "zero where it\n"
+        "  is meaningless (--batch, --lookahead, --rows, --assoc, "
+        "--succs).\n");
+    std::exit(status);
 }
 
 std::string
@@ -99,23 +110,48 @@ strArg(int argc, char **argv, int &i)
     return argv[++i];
 }
 
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * Parse @p text as the value of @p flag: an unsigned decimal integer
+ * in [@p lo, @p hi]. Anything else exits naming the flag. strtoull
+ * alone would accept a sign ("-5" wraps to 2^64 - 5) and leading
+ * blanks, and the caller's narrowing cast would wrap values wider
+ * than the field.
+ */
 std::uint64_t
-numArg(int argc, char **argv, int &i)
+parseNum(const char *flag, const std::string &text, std::uint64_t lo,
+         std::uint64_t hi)
 {
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "simctl: %s requires an argument\n",
-                     argv[i]);
+    const char *s = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t v = std::strtoull(s, &end, 10);
+    if (*s < '0' || *s > '9' || *end != '\0') {
+        std::fprintf(stderr,
+                     "simctl: %s expects an unsigned integer, got "
+                     "'%s'\n",
+                     flag, s);
         usage();
     }
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(argv[++i], &end, 10);
-    if (end == argv[i] || *end != '\0') {
+    if (errno == ERANGE || v < lo || v > hi) {
         std::fprintf(stderr,
-                     "simctl: %s expects a number, got '%s'\n",
-                     argv[i - 1], argv[i]);
+                     "simctl: %s must be in [%llu, %llu], got '%s'\n",
+                     flag, static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), s);
         usage();
     }
     return v;
+}
+
+/** The next argument as a number in [@p lo, @p hi] (see parseNum). */
+std::uint64_t
+numArg(int argc, char **argv, int &i, std::uint64_t lo = 0,
+       std::uint64_t hi = kMaxU64)
+{
+    const char *flag = argv[i];
+    return parseNum(flag, strArg(argc, argv, i), lo, hi);
 }
 
 /**
@@ -156,61 +192,58 @@ main(int argc, char **argv)
         std::string a = argv[i];
         if (a == "--model") {
             model = strArg(argc, argv, i);
+        } else if (a == "--help" || a == "-h") {
+            usage(0);
         } else if (a == "--batch") {
-            batch = numArg(argc, argv, i);
+            batch = numArg(argc, argv, i, 1);
         } else if (a == "--batches") {
             std::string list = strArg(argc, argv, i);
             for (std::size_t pos = 0; pos < list.size();) {
                 std::size_t comma = list.find(',', pos);
                 if (comma == std::string::npos)
                     comma = list.size();
-                char *end = nullptr;
-                const char *tok = list.c_str() + pos;
-                std::uint64_t v = std::strtoull(tok, &end, 10);
-                if (end != list.c_str() + comma || comma == pos) {
-                    std::fprintf(stderr,
-                                 "simctl: --batches expects a "
-                                 "comma-separated number list\n");
-                    usage();
-                }
-                batches.push_back(v);
+                batches.push_back(parseNum(
+                    "--batches", list.substr(pos, comma - pos), 1,
+                    kMaxU64));
                 pos = comma + 1;
             }
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(numArg(argc, argv, i));
+            jobs = static_cast<unsigned>(numArg(argc, argv, i, 0, kMaxU32));
             if (jobs == 0)
                 jobs = std::max(
                     1u, std::thread::hardware_concurrency());
         } else if (a == "--service-threads") {
-            cfg.serviceThreads =
-                static_cast<unsigned>(numArg(argc, argv, i));
+            cfg.serviceThreads = static_cast<unsigned>(
+                numArg(argc, argv, i, 0, kMaxU32));
             if (cfg.serviceThreads == 0)
                 cfg.serviceThreads = std::max(
                     1u, std::thread::hardware_concurrency());
         } else if (a == "--system") {
             system = strArg(argc, argv, i);
         } else if (a == "--gpu-mib") {
-            cfg.gpuMemBytes = numArg(argc, argv, i) * sim::kMiB;
+            cfg.gpuMemBytes =
+                numArg(argc, argv, i, 0, kMaxU64 / sim::kMiB) * sim::kMiB;
         } else if (a == "--host-mib") {
-            cfg.hostMemBytes = numArg(argc, argv, i) * sim::kMiB;
+            cfg.hostMemBytes =
+                numArg(argc, argv, i, 0, kMaxU64 / sim::kMiB) * sim::kMiB;
         } else if (a == "--iters") {
-            cfg.iterations =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+            cfg.iterations = static_cast<std::uint32_t>(
+                numArg(argc, argv, i, 0, kMaxU32));
         } else if (a == "--warmup") {
-            cfg.warmup =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+            cfg.warmup = static_cast<std::uint32_t>(
+                numArg(argc, argv, i, 0, kMaxU32));
         } else if (a == "--lookahead") {
-            cfg.deepum.lookaheadN =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+            cfg.deepum.lookaheadN = static_cast<std::uint32_t>(
+                numArg(argc, argv, i, 1, kMaxU32));
         } else if (a == "--rows") {
-            cfg.deepum.table.numRows =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+            cfg.deepum.table.numRows = static_cast<std::uint32_t>(
+                numArg(argc, argv, i, 1, kMaxU32));
         } else if (a == "--assoc") {
-            cfg.deepum.table.assoc =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+            cfg.deepum.table.assoc = static_cast<std::uint32_t>(
+                numArg(argc, argv, i, 1, kMaxU32));
         } else if (a == "--succs") {
-            cfg.deepum.table.numSuccs =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+            cfg.deepum.table.numSuccs = static_cast<std::uint32_t>(
+                numArg(argc, argv, i, 1, kMaxU32));
         } else if (a == "--no-prefetch") {
             cfg.deepum.prefetch = false;
         } else if (a == "--no-preevict") {
@@ -235,9 +268,7 @@ main(int argc, char **argv)
         } else if (a == "--timeseries") {
             cfg.timeseriesFile = strArg(argc, argv, i);
         } else if (a == "--sample-interval") {
-            cfg.timeseriesInterval = numArg(argc, argv, i);
-            if (cfg.timeseriesInterval == 0)
-                sim::fatal("--sample-interval must be positive");
+            cfg.timeseriesInterval = numArg(argc, argv, i, 1);
         } else if (a == "--list-models") {
             for (const auto &m : models::modelNames())
                 std::printf("%s\n", m.c_str());

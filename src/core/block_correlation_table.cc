@@ -31,6 +31,7 @@ BlockCorrelationTable::BlockCorrelationTable(const BlockTableConfig &cfg)
     const std::size_t ways = std::size_t(cfg_.numRows) * cfg_.assoc;
     entries_.resize(ways);
     succSlab_.assign(ways * cfg_.numSuccs, uvm::kNoBlock);
+    occupied_.assign((ways + 63) / 64, 0);
 }
 
 std::size_t
@@ -74,8 +75,11 @@ BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
             if (base[w].lastUse < victim->lastUse)
                 victim = &base[w];
         }
+        const auto way = static_cast<std::size_t>(victim - entries_.data());
         if (victim->tag != uvm::kNoBlock)
             replacements_.fetch_add(1, std::memory_order_relaxed);
+        else
+            markOccupied(way);
         victim->tag = prev;
         victim->succCount = 0;
         e = victim;
@@ -100,13 +104,11 @@ BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
 }
 
 // --------------------------------------------------------------------
-// Sharded batch paths (FaultShardPool borrowers)
+// Sharded batch record (FaultShardPool borrower)
 // --------------------------------------------------------------------
 
 /** Pairs below this apply serially: dispatch costs more than it saves. */
 static constexpr std::size_t kMinParallelPairs = 64;
-/** Way counts below this scan serially for the same reason. */
-static constexpr std::size_t kMinParallelWays = 1024;
 
 struct BlockCorrelationTable::RecordBatchCtx {
     BlockCorrelationTable *table;
@@ -146,54 +148,6 @@ BlockCorrelationTable::recordBatch(const RecordPair *pairs,
     RecordBatchCtx ctx{this, pairs, n, useClock_};
     pool->run(&recordShardJob, &ctx);
     useClock_ += n;
-}
-
-struct BlockCorrelationTable::FreshTagsCtx {
-    const BlockCorrelationTable *table;
-    uvm::FaultShardPool *pool;
-    std::uint32_t window;
-};
-
-void
-BlockCorrelationTable::freshShardJob(void *ctx, unsigned shard,
-                                     unsigned nshards)
-{
-    auto *c = static_cast<FreshTagsCtx *>(ctx);
-    const BlockCorrelationTable *t = c->table;
-    std::vector<mem::BlockId> &out = c->pool->scratch(shard);
-    const std::size_t ways = t->entries_.size();
-    const std::size_t lo = ways * shard / nshards;
-    const std::size_t hi = ways * (shard + 1) / nshards;
-    for (std::size_t i = lo; i < hi; ++i) {
-        const Entry &e = t->entries_[i];
-        if (e.tag == uvm::kNoBlock)
-            continue;
-        if (e.lastEpoch + c->window >= t->epoch_)
-            support::pushAmortized(out, e.tag);
-    }
-}
-
-void
-BlockCorrelationTable::freshTags(std::uint32_t window,
-                                 std::vector<mem::BlockId> &out,
-                                 uvm::FaultShardPool *pool) const
-{
-    if (pool == nullptr || pool->shards() <= 1 ||
-        entries_.size() < kMinParallelWays) {
-        freshTags(window, out);
-        return;
-    }
-    out.clear();
-    FreshTagsCtx ctx{this, pool, window};
-    pool->run(&freshShardJob, &ctx);
-    // Contiguous way ranges concatenated in shard order are exactly
-    // the serial slab-order scan.
-    for (unsigned s = 0; s < pool->shards(); ++s) {
-        std::vector<mem::BlockId> &sc = pool->scratch(s);
-        for (mem::BlockId b : sc)
-            support::pushAmortized(out, b);
-        sc.clear();
-    }
 }
 
 void
@@ -236,12 +190,11 @@ BlockCorrelationTable::freshTags(std::uint32_t window,
                                  std::vector<mem::BlockId> &out) const
 {
     out.clear();
-    for (const auto &e : entries_) {
-        if (e.tag == uvm::kNoBlock)
-            continue;
+    forEachOccupied([&](std::size_t way) {
+        const Entry &e = entries_[way];
         if (e.lastEpoch + window >= epoch_)
             support::pushAmortized(out, e.tag);
-    }
+    });
 }
 
 std::vector<mem::BlockId>
@@ -276,13 +229,11 @@ BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
     auto dead = [first, end](mem::BlockId b) {
         return b >= first && b < end;
     };
-    for (std::size_t way = 0; way < entries_.size(); ++way) {
+    forEachOccupied([&](std::size_t way) {
         Entry &e = entries_[way];
-        if (e.tag == uvm::kNoBlock)
-            continue;
         if (dead(e.tag)) {
             resetWay(way);
-            continue;
+            return;
         }
         // Compact the inline successor window, preserving MRU order.
         mem::BlockId *s = succsOf(way);
@@ -292,7 +243,7 @@ BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
                 s[n++] = s[i];
         }
         e.succCount = n;
-    }
+    });
     if (start_ != uvm::kNoBlock && dead(start_))
         start_ = uvm::kNoBlock;
     if (end_ != uvm::kNoBlock && dead(end_))
@@ -306,9 +257,21 @@ BlockCorrelationTable::checkInvariants(sim::CheckContext &ctx) const
                     entries_.size() * std::size_t(cfg_.numSuccs),
                 "successor slab holds %zu slots for %zu ways of %u",
                 succSlab_.size(), entries_.size(), cfg_.numSuccs);
+    ctx.require(occupied_.size() == (entries_.size() + 63) / 64,
+                "occupancy bitmap holds %zu words for %zu ways",
+                occupied_.size(), entries_.size());
+    if (entries_.size() % 64 != 0)
+        ctx.require(occupied_.back() >> (entries_.size() % 64) == 0,
+                    "occupancy bit set past way count %zu",
+                    entries_.size());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry &e = entries_[i];
         const std::size_t set = i / cfg_.assoc;
+        const bool marked = (occupied_[i >> 6] & wayBit(i)) != 0;
+        ctx.require(marked == (e.tag != uvm::kNoBlock),
+                    "way %zu occupancy bit %d disagrees with tag %llu",
+                    i, int(marked),
+                    static_cast<unsigned long long>(e.tag));
         if (e.tag == uvm::kNoBlock) {
             ctx.require(e.succCount == 0 && e.lastUse == 0 &&
                             e.lastEpoch == 0,
@@ -353,10 +316,8 @@ BlockCorrelationTable::dumpState(std::ostream &os) const
        << " live=" << entryCount() << " start=" << start_
        << " end=" << end_ << " epoch=" << epoch_
        << " useClock=" << useClock_ << "}\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    forEachOccupied([&](std::size_t i) {
         const Entry &e = entries_[i];
-        if (e.tag == uvm::kNoBlock)
-            continue;
         os << "  way " << i << ": tag=" << e.tag
            << " lastUse=" << e.lastUse << " lastEpoch=" << e.lastEpoch
            << " succs=[";
@@ -364,16 +325,15 @@ BlockCorrelationTable::dumpState(std::ostream &os) const
         for (std::uint32_t j = 0; j < e.succCount; ++j)
             os << (j != 0 ? " " : "") << s[j];
         os << "]\n";
-    }
+    });
 }
 
 std::size_t
 BlockCorrelationTable::entryCount() const
 {
     std::size_t n = 0;
-    for (const auto &e : entries_)
-        if (e.tag != uvm::kNoBlock)
-            ++n;
+    for (std::uint64_t w : occupied_)
+        n += static_cast<std::size_t>(__builtin_popcountll(w));
     return n;
 }
 

@@ -19,6 +19,9 @@
  * successor storage never moves for the table's lifetime, so the
  * SuccView returned by successors() stays valid (it re-reads current
  * contents) instead of dangling like the former vector reference.
+ * A one-bit-per-way occupancy bitmap lets the whole-table walks
+ * (freshTags(), eraseRange(), entryCount()) visit only the occupied
+ * ways, in slab order, instead of every way of the geometry.
  */
 
 #pragma once
@@ -174,20 +177,12 @@ class BlockCorrelationTable
      * entry on kernel entry breaks the oscillation; refresh() keeps
      * successfully-prefetched entries live. The out-parameter form
      * lets the prefetcher reuse one scratch vector across
-     * activations (allocation-free steady state).
+     * activations (allocation-free steady state). Cost is
+     * O(occupied ways + ways/64): the walk follows the occupancy
+     * bitmap, not the whole slab.
      */
     DEEPUM_NOALLOC void freshTags(std::uint32_t window,
                                   std::vector<mem::BlockId> &out) const;
-
-    /**
-     * freshTags() with the scan sharded across @p pool's service
-     * threads (null pool or one shard falls back to the serial
-     * scan). Each shard scans a contiguous way range into its
-     * per-shard scratch; concatenating in shard order *is* slab
-     * order, so @p out is byte-identical to the serial form.
-     */
-    void freshTags(std::uint32_t window, std::vector<mem::BlockId> &out,
-                   uvm::FaultShardPool *pool) const;
 
     /** Convenience allocating form (tests). */
     std::vector<mem::BlockId> freshTags(std::uint32_t window) const;
@@ -250,8 +245,9 @@ class BlockCorrelationTable
      * Audit structural invariants (sim/validate.hh): tags hash to
      * their set, no duplicate tags within a set, successor counts
      * within the inline capacity and the listed successors
-     * duplicate-free, use/epoch stamps within the counters, and
-     * empty ways fully reset.
+     * duplicate-free, use/epoch stamps within the counters, empty
+     * ways fully reset, and the occupancy bitmap set exactly on the
+     * occupied ways.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -310,25 +306,61 @@ class BlockCorrelationTable
     DEEPUM_NOALLOC void recordAt(mem::BlockId prev, mem::BlockId next,
                                  std::uint64_t clock);
 
-    // Shard-job bodies for recordBatch()/freshTags(pool); each shard
-    // touches only the sets / way range it owns (fault_shards.hh).
+    // Shard-job body for recordBatch(); each shard touches only the
+    // sets it owns (fault_shards.hh).
     struct RecordBatchCtx;
     DEEPUM_NOALLOC static void recordShardJob(void *ctx, unsigned shard,
                                               unsigned nshards);
-    struct FreshTagsCtx;
-    static void freshShardJob(void *ctx, unsigned shard,
-                              unsigned nshards);
+
+    /** Bit of way @p way within its occupancy word. */
+    static std::uint64_t
+    wayBit(std::size_t way)
+    {
+        return std::uint64_t(1) << (way & 63);
+    }
+
+    /**
+     * Mark the way at slab index @p way occupied. An atomic RMW:
+     * sharded recordBatch() fills ways of different sets that can
+     * share one bitmap word.
+     */
+    void
+    markOccupied(std::size_t way)
+    {
+        std::atomic_ref<std::uint64_t>(occupied_[way >> 6])
+            .fetch_or(wayBit(way), std::memory_order_relaxed);
+    }
 
     /** Reset the way at slab index @p way to the empty state. */
     void
     resetWay(std::size_t way)
     {
         entries_[way] = Entry{};
+        occupied_[way >> 6] &= ~wayBit(way);
+    }
+
+    /**
+     * Call @p fn(way) for every occupied way in ascending slab
+     * order. Each word is copied before its bits are walked, so
+     * @p fn may reset the way it is given.
+     */
+    template <typename Fn>
+    void
+    forEachOccupied(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < occupied_.size(); ++w) {
+            for (std::uint64_t bits = occupied_[w]; bits != 0;
+                 bits &= bits - 1)
+                fn(w * 64 +
+                   static_cast<std::size_t>(__builtin_ctzll(bits)));
+        }
     }
 
     BlockTableConfig cfg_;
     std::vector<Entry> entries_;        ///< numRows * assoc, set-major
     std::vector<mem::BlockId> succSlab_; ///< numRows*assoc*numSuccs
+    /** Bit i set exactly when entries_[i] holds a tag; 64 ways/word. */
+    std::vector<std::uint64_t> occupied_;
     mem::BlockId start_ = uvm::kNoBlock;
     mem::BlockId end_ = uvm::kNoBlock;
     std::uint64_t useClock_ = 0;

@@ -8,7 +8,7 @@
 namespace deepum::uvm {
 
 FaultShardPool::FaultShardPool(unsigned nshards)
-    : shardOrdered_(kMaxShards), shardScratch_(kMaxShards)
+    : shardOrdered_(kMaxShards)
 {
     setShards(nshards);
 }
@@ -162,9 +162,6 @@ FaultShardPool::checkInvariants(sim::CheckContext &ctx) const
         ctx.require(shardOrdered_[s].empty(),
                     "shard %u ordered list not drained (%zu left)", s,
                     shardOrdered_[s].size());
-        ctx.require(shardScratch_[s].empty(),
-                    "shard %u scratch not returned (%zu left)", s,
-                    shardScratch_[s].size());
     }
 }
 
@@ -174,8 +171,7 @@ FaultShardPool::dumpState(std::ostream &os) const
     os << "FaultShardPool{shards=" << nshards_ << ", entryIdxCap="
        << entryIdx_.size();
     for (unsigned s = 0; s < nshards_; ++s)
-        os << ", s" << s << "=[ordered:" << shardOrdered_[s].size()
-           << " scratch:" << shardScratch_[s].size() << "]";
+        os << ", s" << s << "=[ordered:" << shardOrdered_[s].size() << "]";
     os << "}\n";
 }
 

@@ -8,20 +8,20 @@
  * partitioned by slab index (`BlockIndex % nshards`), N host threads
  * (a sim::ShardWorkers team) concurrently do the per-block work that
  * is read-mostly or shard-local — BlockStore probes, dedupe epoch
- * stamping, correlation-table record into per-shard set regions,
- * fresh-tag scans into per-shard scratch — and the coordinator then
- * merges the per-shard results in canonical first-fault order.
- * Migration scheduling, stats, the provenance ledger, and all
- * event-queue interaction stay on the coordinator thread.
+ * stamping, correlation-table record into per-shard set regions — and
+ * the coordinator then merges the per-shard results in canonical
+ * first-fault order. Migration scheduling, stats, the provenance
+ * ledger, and all event-queue interaction stay on the coordinator
+ * thread.
  *
  * Determinism argument (DESIGN.md section 3.12): every shard owns a
  * disjoint class of state (slab-index classes for dedupe stamps,
- * correlation *sets* for records, way ranges for tag scans), applies
- * its share in the canonical sequential order, and the coordinator
- * merge recovers exactly the order the serial loop would have
- * produced. One shard degenerates to the serial loop itself, so the
- * stats are byte-identical at any `--service-threads` value and CI
- * pins them against ci/golden_stats.json.
+ * correlation *sets* for records), applies its share in the canonical
+ * sequential order, and the coordinator merge recovers exactly the
+ * order the serial loop would have produced. One shard degenerates to
+ * the serial loop itself, so the stats are byte-identical at any
+ * `--service-threads` value and CI pins them against
+ * ci/golden_stats.json.
  *
  * The pool is also the stepping stone to multi-GPU: per-rank drivers
  * are shards writ large, with the same disjoint-ownership discipline.
@@ -47,16 +47,16 @@ class CheckContext;
 namespace deepum::uvm {
 
 /**
- * Worker team plus per-shard scratch for fault-batch servicing.
+ * Worker team for fault-batch servicing.
  *
- * Owned by the Driver; the core-side sharded paths (correlation
- * recordBatch, fresh-tag scans) borrow it through Driver::shardPool()
- * so one team services the whole fault path.
+ * Owned by the Driver; the core-side sharded path (correlation
+ * recordBatch) borrows it through Driver::shardPool() so one team
+ * services the whole fault path.
  */
 class FaultShardPool
 {
   public:
-    /** Upper bound on shards (per-shard scratch is sized for this). */
+    /** Upper bound on shards (per-shard lists are sized for this). */
     static constexpr unsigned kMaxShards = 16;
 
     /**
@@ -106,18 +106,6 @@ class FaultShardPool
                     std::vector<mem::BlockId> &ordered,
                     std::uint64_t &pages);
 
-    /**
-     * Per-shard scratch list for borrowers (fresh-tag scans). The
-     * borrower fills scratch(s) from shard s, concatenates on the
-     * coordinator, and clears each list before returning — the pool
-     * audits that the lists are empty between batches.
-     */
-    DEEPUM_NOALLOC std::vector<mem::BlockId> &
-    scratch(unsigned s)
-    {
-        return shardScratch_[s];
-    }
-
     /** Audit quiescent state: all per-shard lists drained. */
     void checkInvariants(sim::CheckContext &ctx) const;
     void dumpState(std::ostream &os) const;
@@ -148,8 +136,6 @@ class FaultShardPool
     std::vector<BlockIndex> entryIdx_;
     /** Per-shard deduped (position, block) lists (pass B). */
     std::vector<std::vector<PosBlock>> shardOrdered_;
-    /** Per-shard scratch lent to borrowers via scratch(). */
-    std::vector<std::vector<mem::BlockId>> shardScratch_;
     /** Per-shard page sums (order-independent addition). */
     std::uint64_t shardPages_[kMaxShards] = {};
 };

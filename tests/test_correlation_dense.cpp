@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -135,24 +136,30 @@ auditExec(const ExecCorrelationTable &t)
 }
 
 // ---------------------------------------------------------------
-// Block-table reference model: one entry list per set, replicating
-// the documented policies (first-invalid-else-strict-LRU victim,
-// MRU successor insert with drop-at-capacity) over plain vectors.
+// Block-table reference model: a fixed array of ways per set, each
+// empty or holding an entry, replicating the documented policies
+// (first-empty-way-else-strict-LRU victim, MRU successor insert with
+// drop-at-capacity, epoch-window freshness) over plain vectors. Way
+// positions are modelled so freshTags() order can be checked too.
 // ---------------------------------------------------------------
 
 struct RefEntry {
     mem::BlockId tag;
     std::uint64_t lastUse;
+    std::uint32_t lastEpoch;
     std::vector<mem::BlockId> succs; ///< MRU first
 };
 
 struct RefTable {
     BlockTableConfig cfg;
-    std::vector<std::vector<RefEntry>> sets; ///< each <= cfg.assoc
+    /** sets[s][w] is way w of set s; nullopt when empty. */
+    std::vector<std::vector<std::optional<RefEntry>>> sets;
     std::uint64_t clock = 0;
+    std::uint32_t epoch = 0;
 
     explicit RefTable(const BlockTableConfig &c)
-        : cfg(c), sets(c.numRows)
+        : cfg(c), sets(c.numRows,
+                       std::vector<std::optional<RefEntry>>(c.assoc))
     {}
 
     std::size_t
@@ -161,37 +168,48 @@ struct RefTable {
         return static_cast<std::size_t>(mix(b) % cfg.numRows);
     }
 
+    std::optional<RefEntry> *
+    findWay(mem::BlockId b)
+    {
+        for (auto &w : sets[setOf(b)])
+            if (w && w->tag == b)
+                return &w;
+        return nullptr;
+    }
+
     RefEntry *
     find(mem::BlockId b)
     {
-        for (RefEntry &e : sets[setOf(b)])
-            if (e.tag == b)
-                return &e;
-        return nullptr;
+        std::optional<RefEntry> *w = findWay(b);
+        return w != nullptr ? &**w : nullptr;
     }
 
     void
     record(mem::BlockId prev, mem::BlockId next)
     {
-        auto &set = sets[setOf(prev)];
         RefEntry *e = find(prev);
         if (e == nullptr) {
-            if (set.size() < cfg.assoc) {
-                // First invalid way wins: invalid ways are exactly
-                // the tail positions the dense table fills in order.
-                set.push_back(RefEntry{prev, 0, {}});
-                e = &set.back();
-            } else {
-                // Strict-< LRU: the earliest minimum survives ties.
-                e = &set[0];
-                for (RefEntry &c : set)
-                    if (c.lastUse < e->lastUse)
-                        e = &c;
-                e->tag = prev;
-                e->succs.clear();
+            auto &set = sets[setOf(prev)];
+            // The first empty way wins; otherwise strict-< LRU, so
+            // the earliest minimum survives ties.
+            std::optional<RefEntry> *victim = nullptr;
+            for (auto &w : set) {
+                if (!w) {
+                    victim = &w;
+                    break;
+                }
             }
+            if (victim == nullptr) {
+                victim = &set[0];
+                for (auto &w : set)
+                    if (w->lastUse < (*victim)->lastUse)
+                        victim = &w;
+            }
+            *victim = RefEntry{prev, 0, 0, {}};
+            e = &**victim;
         }
         e->lastUse = ++clock;
+        e->lastEpoch = epoch;
         auto it = std::find(e->succs.begin(), e->succs.end(), next);
         if (it != e->succs.end())
             e->succs.erase(it);
@@ -201,15 +219,19 @@ struct RefTable {
     }
 
     void
+    refresh(mem::BlockId b)
+    {
+        if (RefEntry *e = find(b)) {
+            e->lastUse = ++clock;
+            e->lastEpoch = epoch;
+        }
+    }
+
+    void
     erase(mem::BlockId b)
     {
-        auto &set = sets[setOf(b)];
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i].tag == b) {
-                set.erase(set.begin() + i);
-                return;
-            }
-        }
+        if (std::optional<RefEntry> *w = findWay(b))
+            w->reset();
     }
 
     void
@@ -219,16 +241,30 @@ struct RefTable {
             return b >= first && b < end;
         };
         for (auto &set : sets) {
-            for (std::size_t i = set.size(); i-- > 0;) {
-                if (dead(set[i].tag)) {
-                    set.erase(set.begin() + i);
+            for (auto &w : set) {
+                if (!w)
+                    continue;
+                if (dead(w->tag)) {
+                    w.reset();
                     continue;
                 }
-                auto &sc = set[i].succs;
+                auto &sc = w->succs;
                 sc.erase(std::remove_if(sc.begin(), sc.end(), dead),
                          sc.end());
             }
         }
+    }
+
+    /** Occupied ways touched within @p window epochs, slab order. */
+    std::vector<mem::BlockId>
+    freshTags(std::uint32_t window) const
+    {
+        std::vector<mem::BlockId> tags;
+        for (const auto &set : sets)
+            for (const auto &w : set)
+                if (w && w->lastEpoch + window >= epoch)
+                    tags.push_back(w->tag);
+        return tags;
     }
 
     std::size_t
@@ -236,20 +272,23 @@ struct RefTable {
     {
         std::size_t n = 0;
         for (const auto &set : sets)
-            n += set.size();
+            for (const auto &w : set)
+                n += w.has_value();
         return n;
     }
 };
 
 /** Compare every block the model knows (and misses) to the table. */
 void
-compareAll(const BlockCorrelationTable &t, const RefTable &m,
+compareAll(const BlockCorrelationTable &t, RefTable &m,
            mem::BlockId universe)
 {
     ASSERT_EQ(t.entryCount(), m.entryCount());
+    ASSERT_EQ(t.epoch(), m.epoch);
+    for (std::uint32_t w : {0u, 1u, 4u})
+        ASSERT_EQ(t.freshTags(w), m.freshTags(w)) << "window " << w;
     for (mem::BlockId b = 0; b < universe; ++b) {
-        const auto *e =
-            const_cast<RefTable &>(m).find(b);
+        const RefEntry *e = m.find(b);
         SuccView got = t.successors(b);
         if (e == nullptr) {
             ASSERT_TRUE(got.empty()) << "block " << b;
@@ -263,39 +302,67 @@ compareAll(const BlockCorrelationTable &t, const RefTable &m,
     audit(t);
 }
 
+/**
+ * Drive the table and the model through one long random op sequence
+ * — record, erase, eraseRange, refresh, captureStartEnd — comparing
+ * them at regular checkpoints.
+ */
+void
+matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
+                    std::uint64_t seed)
+{
+    BlockCorrelationTable t(cfg);
+    RefTable m(cfg);
+    sim::Rng rng(seed);
+
+    for (int step = 0; step < 8000; ++step) {
+        std::uint64_t op = rng.below(100);
+        if (op < 70) {
+            mem::BlockId prev = rng.below(universe);
+            mem::BlockId next = rng.below(universe);
+            t.record(prev, next);
+            m.record(prev, next);
+        } else if (op < 78) {
+            mem::BlockId b = rng.below(universe);
+            t.erase(b);
+            m.erase(b);
+        } else if (op < 85) {
+            mem::BlockId first = rng.below(universe);
+            mem::BlockId end =
+                std::min<mem::BlockId>(first + 1 + rng.below(8),
+                                       universe);
+            t.eraseRange(first, end);
+            m.eraseRange(first, end);
+        } else if (op < 95) {
+            mem::BlockId b = rng.below(universe);
+            t.refresh(b);
+            m.refresh(b);
+        } else {
+            // Only the epoch bump matters to the model; start/end
+            // pointers do not feed the slab.
+            t.captureStartEnd(rng.below(universe), rng.below(universe),
+                              static_cast<std::uint32_t>(rng.below(16)));
+            ++m.epoch;
+        }
+        if (step % 97 == 0)
+            ASSERT_NO_FATAL_FAILURE(compareAll(t, m, universe))
+                << "step " << step;
+    }
+    ASSERT_NO_FATAL_FAILURE(compareAll(t, m, universe));
+    EXPECT_GT(m.epoch, 100u); // the windows were exercised
+}
+
 TEST(CorrelationDense, BlockTableMatchesReferenceModel)
 {
     // Tiny geometry so set conflicts and successor capacity are hit
     // constantly: 4 sets x 2 ways, 3 successor slots, 64 blocks.
-    BlockTableConfig cfg{4, 2, 3};
-    constexpr mem::BlockId kUniverse = 64;
-    BlockCorrelationTable t(cfg);
-    RefTable m(cfg);
-    sim::Rng rng(2024);
-
-    for (int step = 0; step < 8000; ++step) {
-        std::uint64_t op = rng.below(100);
-        if (op < 80) {
-            mem::BlockId prev = rng.below(kUniverse);
-            mem::BlockId next = rng.below(kUniverse);
-            t.record(prev, next);
-            m.record(prev, next);
-        } else if (op < 90) {
-            mem::BlockId b = rng.below(kUniverse);
-            t.erase(b);
-            m.erase(b);
-        } else {
-            mem::BlockId first = rng.below(kUniverse);
-            mem::BlockId end =
-                std::min<mem::BlockId>(first + 1 + rng.below(8),
-                                       kUniverse);
-            t.eraseRange(first, end);
-            m.eraseRange(first, end);
-        }
-        if (step % 97 == 0)
-            compareAll(t, m, kUniverse);
+    {
+        SCOPED_TRACE("4 x 2");
+        matchReferenceModel(BlockTableConfig{4, 2, 3}, 64, 2024);
     }
-    compareAll(t, m, kUniverse);
+    // 50 x 3 = 150 ways: three occupancy words, the last one partial.
+    SCOPED_TRACE("50 x 3");
+    matchReferenceModel(BlockTableConfig{50, 3, 4}, 400, 77);
 }
 
 TEST(CorrelationDense, SetConflictEvictsStrictLru)

@@ -2,9 +2,9 @@
  * @file
  * Sharded fault servicing (uvm/fault_shards.hh, sim/shard_workers.hh):
  * the worker team's fork/join contract, shard-partition property
- * tests of preprocess/recordBatch/freshTags against the sequential
- * reference, per-shard scratch audits, the dropped-block re-probe
- * fix, and the headline determinism gate — byte-identical
+ * tests of preprocess/recordBatch against the sequential reference,
+ * the quiescent-pool audit, the dropped-block re-probe fix, and the
+ * headline determinism gate — byte-identical
  * StatSet::dumpJson on the correlation-heavy scenario at 1 vs. N
  * service threads.
  */
@@ -216,7 +216,7 @@ TEST(FaultShardPoolDeath, ShardedPreprocessPanicsOnUnknownBlock)
 }
 
 // --------------------------------------------------------------------
-// Per-shard scratch audits (DEEPUM_VALIDATE surface)
+// Per-shard list audits (DEEPUM_VALIDATE surface)
 // --------------------------------------------------------------------
 
 TEST(FaultShardPool, QuiescentPoolPassesAudit)
@@ -234,14 +234,6 @@ TEST(FaultShardPool, QuiescentPoolPassesAudit)
     sim::CheckContext ctx("FaultShardPool", "test", {});
     pool.checkInvariants(ctx);
     EXPECT_GT(ctx.checks(), 0u);
-}
-
-TEST(FaultShardPoolDeath, UnreturnedScratchTripsAudit)
-{
-    FaultShardPool pool(2); // scratch access needs no threads
-    pool.scratch(0).push_back(kBase);
-    sim::CheckContext ctx("FaultShardPool", "test", {});
-    EXPECT_DEATH(pool.checkInvariants(ctx), "scratch not returned");
 }
 
 // --------------------------------------------------------------------
@@ -297,31 +289,6 @@ TEST(CorrelationShards, RecordShardPartitionsEverySet)
         // The owner is stable — the partition is a pure function.
         EXPECT_EQ(s, t.recordShard(b, 4));
     }
-}
-
-TEST(CorrelationShards, FreshTagsShardedMatchesSerial)
-{
-    core::BlockTableConfig cfg; // 4096 ways: above the parallel floor
-    core::BlockCorrelationTable t(cfg);
-    FaultShardPool pool(4);
-    sim::Rng rng(5);
-    for (int e = 0; e < 6; ++e) {
-        for (int i = 0; i < 600; ++i)
-            t.record(kBase + rng.below(2048), kBase + rng.below(2048));
-        t.captureStartEnd(kBase, kBase + 1, 4); // bumps the epoch
-    }
-
-    std::vector<mem::BlockId> serialOut, shardedOut;
-    for (std::uint32_t window = 0; window <= 4; ++window) {
-        t.freshTags(window, serialOut);
-        t.freshTags(window, shardedOut, &pool);
-        ASSERT_EQ(serialOut, shardedOut) << "window " << window;
-    }
-    EXPECT_FALSE(serialOut.empty());
-
-    // The borrowed scratch lists came back empty.
-    sim::CheckContext ctx("FaultShardPool", "test", {});
-    pool.checkInvariants(ctx);
 }
 
 // --------------------------------------------------------------------
