@@ -95,7 +95,8 @@ usage(int status = 2)
         "  its field (32 bits for counts and table geometry) and "
         "zero where it\n"
         "  is meaningless (--batch, --lookahead, --rows, --assoc, "
-        "--succs).\n");
+        "--succs);\n"
+        "  --gpu-mib must hold one SM batch of blocks (16 MiB).\n");
     std::exit(status);
 }
 
@@ -222,7 +223,10 @@ main(int argc, char **argv)
             system = strArg(argc, argv, i);
         } else if (a == "--gpu-mib") {
             cfg.gpuMemBytes =
-                numArg(argc, argv, i, 0, kMaxU64 / sim::kMiB) * sim::kMiB;
+                numArg(argc, argv, i,
+                       harness::minGpuMemBytes(cfg.timing) / sim::kMiB,
+                       kMaxU64 / sim::kMiB) *
+                sim::kMiB;
         } else if (a == "--host-mib") {
             cfg.hostMemBytes =
                 numArg(argc, argv, i, 0, kMaxU64 / sim::kMiB) * sim::kMiB;

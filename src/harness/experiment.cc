@@ -62,10 +62,23 @@ systemName(SystemKind kind)
     return "?";
 }
 
+std::uint64_t
+minGpuMemBytes(const gpu::TimingConfig &timing)
+{
+    return std::uint64_t(timing.smBatch) * mem::kBlockBytes;
+}
+
 RunResult
 runExperiment(const torch::Tape &tape, SystemKind kind,
               const ExperimentConfig &cfg)
 {
+    if (cfg.gpuMemBytes < minGpuMemBytes(cfg.timing))
+        sim::fatal("GPU memory of %llu bytes is below one SM batch "
+                   "(%u blocks of %llu bytes)",
+                   static_cast<unsigned long long>(cfg.gpuMemBytes),
+                   cfg.timing.smBatch,
+                   static_cast<unsigned long long>(mem::kBlockBytes));
+
     sim::EventQueue eq;
     sim::StatSet stats;
 

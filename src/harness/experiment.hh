@@ -130,7 +130,16 @@ struct RunResult {
     std::map<std::string, DistSummary> dists;
 };
 
-/** Run @p tape once under @p kind. */
+/**
+ * Smallest GPU memory runExperiment accepts: the worst case of one SM
+ * batch, @p timing.smBatch distinct blocks that GpuEngine::advance
+ * needs resident at once. A smaller GPU can still finish a run whose
+ * batches repeat blocks, but on the shipped models it panics for want
+ * of a victim or never finishes.
+ */
+std::uint64_t minGpuMemBytes(const gpu::TimingConfig &timing);
+
+/** Run @p tape once under @p kind (fatal below minGpuMemBytes). */
 RunResult runExperiment(const torch::Tape &tape, SystemKind kind,
                         const ExperimentConfig &cfg);
 

@@ -8,30 +8,17 @@
 
 namespace deepum::uvm {
 
-BlockIndex
-BlockStore::findSlow(mem::BlockId b) const
+const BlockStore::Range *
+BlockStore::rangeContaining(mem::BlockId b) const
 {
     // First range strictly above b, then step back one: the only
     // candidate run that can contain it.
     auto it = std::upper_bound(
         ranges_.begin(), ranges_.end(), b,
         [](mem::BlockId v, const Range &r) { return v < r.first; });
-    if (it == ranges_.begin())
-        return kNoBlockIndex;
-    --it;
-    if (b >= it->end)
-        return kNoBlockIndex;
-    hot_.store(static_cast<std::size_t>(it - ranges_.begin()),
-               std::memory_order_relaxed);
-    return it->base + static_cast<BlockIndex>(b - it->first);
-}
-
-const BlockStore::Range *
-BlockStore::rangeContaining(mem::BlockId b) const
-{
-    if (find(b) == kNoBlockIndex)
+    if (it == ranges_.begin() || b >= (it - 1)->end)
         return nullptr;
-    return &ranges_[hot_.load(std::memory_order_relaxed)];
+    return &*(it - 1);
 }
 
 BlockIndex
@@ -80,6 +67,28 @@ BlockStore::freeSlots(BlockIndex base, BlockIndex n)
     }
 }
 
+void
+BlockStore::respanIndex()
+{
+    if (ranges_.empty()) {
+        index_.clear();
+        return;
+    }
+    // Grow or trim the front, keeping the entries both spans share,
+    // then the back.
+    mem::BlockId lo = ranges_.front().first;
+    if (index_.empty())
+        indexBase_ = lo;
+    if (lo < indexBase_)
+        index_.insert(index_.begin(), indexBase_ - lo, kNoBlockIndex);
+    else
+        index_.erase(index_.begin(),
+                     index_.begin() +
+                         static_cast<std::ptrdiff_t>(lo - indexBase_));
+    indexBase_ = lo;
+    index_.resize(ranges_.back().end - lo, kNoBlockIndex);
+}
+
 BlockIndex
 BlockStore::registerRun(mem::BlockId first, mem::BlockId end)
 {
@@ -100,14 +109,12 @@ BlockStore::registerRun(mem::BlockId first, mem::BlockId end)
     it = std::lower_bound(
         ranges_.begin(), ranges_.end(), first,
         [](const Range &r, mem::BlockId v) { return r.first < v; });
-    hot_.store(static_cast<std::size_t>(
-                   ranges_.insert(it, Range{first, end, base}) -
-                   ranges_.begin()),
-               std::memory_order_relaxed);
-
+    ranges_.insert(it, Range{first, end, base});
+    respanIndex();
     for (BlockIndex i = 0; i < n; ++i) {
         slab_[base + i] = BlockInfo{};
         ids_[base + i] = first + i;
+        index_[first - indexBase_ + i] = base + i;
     }
     size_ += n;
     return base;
@@ -135,11 +142,10 @@ BlockStore::unregisterRun(mem::BlockId first, mem::BlockId end)
                       "unregistering a block still linked in the LRU");
         slab_[base + i] = BlockInfo{};
         ids_[base + i] = kNoBlock;
+        index_[first - indexBase_ + i] = kNoBlockIndex;
     }
-    ranges_.erase(ranges_.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      hot_.load(std::memory_order_relaxed)));
-    hot_.store(0, std::memory_order_relaxed);
+    ranges_.erase(ranges_.begin() + (r - ranges_.data()));
+    respanIndex();
     freeSlots(base, n);
     size_ -= n;
 }
@@ -183,6 +189,36 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
     ctx.require(live == size_,
                 "run table covers %zu blocks, live counter says %zu",
                 live, size_);
+
+    // Index: spans exactly [lowest first, highest end), and each entry
+    // names nothing or the slot whose backref is that entry's id. As
+    // backrefs are exact and free slots name no block, counting the
+    // entries proves the index maps the registered ids and no others.
+    std::uint64_t span =
+        ranges_.empty() ? 0 : ranges_.back().end - ranges_.front().first;
+    ctx.require(index_.size() == span &&
+                    (ranges_.empty() ||
+                     indexBase_ == ranges_.front().first),
+                "index spans %zu ids from block %llu, registered runs "
+                "span %llu",
+                index_.size(), static_cast<unsigned long long>(indexBase_),
+                static_cast<unsigned long long>(span));
+    std::size_t mapped = 0;
+    for (std::size_t k = 0; k < index_.size(); ++k) {
+        BlockIndex i = index_[k];
+        if (i == kNoBlockIndex)
+            continue;
+        ++mapped;
+        mem::BlockId b = indexBase_ + k;
+        ctx.require(i < ids_.size() && ids_[i] == b,
+                    "index maps block %llu to slot %u, which backs "
+                    "block %llu",
+                    static_cast<unsigned long long>(b), i,
+                    static_cast<unsigned long long>(
+                        i < ids_.size() ? ids_[i] : kNoBlock));
+    }
+    ctx.require(mapped == live, "index maps %zu ids, %zu are registered",
+                mapped, live);
     ctx.require(slab_.size() == ids_.size(),
                 "slab holds %zu records, backref array %zu",
                 slab_.size(), ids_.size());
@@ -252,7 +288,8 @@ void
 BlockStore::dumpState(std::ostream &os) const
 {
     os << "BlockStore{blocks=" << size_ << " slab=" << slab_.size()
-       << " ranges=" << ranges_.size()
+       << " ranges=" << ranges_.size() << " index=[" << indexBase_
+       << ", " << indexBase_ + index_.size() << ")"
        << " freeRuns=" << freeRuns_.size() << " lru=" << lruSize_
        << "}\n";
     for (const Range &r : ranges_)

@@ -3,8 +3,12 @@
  * Dense per-block metadata store for the UM driver.
  *
  * UM allocations are contiguous runs of 2 MiB blocks, so the store
- * maps BlockId -> dense slab index with a small sorted table of
- * registered runs: one range probe plus a subtract, no hashing. The
+ * maps BlockId -> dense slab index with a direct-mapped array over the
+ * span of registered ids: one bounds check and one load, no hashing
+ * and no search. The UM heap bounds that span (2048 entries, 8 KiB,
+ * at the default 4 GiB heap). A small sorted table of registered runs
+ * backs the rarer whole-run operations (range lookup, unregister,
+ * BlockId-order iteration, the audit). The
  * BlockInfo records live in a contiguous slab (vector), the
  * least-recently-migrated list is intrusive prev/next slab indices
  * inside BlockInfo, and freed runs go on a coalescing free list so
@@ -22,7 +26,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -50,19 +53,17 @@ class BlockStore
 
     // --- lookup (the fault-path hot probe) --------------------------
 
-    /** Slab index of @p b, or kNoBlockIndex when unregistered. */
+    /**
+     * Slab index of @p b, or kNoBlockIndex when unregistered. A pure
+     * array read, so concurrent probes (FaultShardPool) need no
+     * synchronization.
+     */
     DEEPUM_NOALLOC BlockIndex
     find(mem::BlockId b) const
     {
-        // One-entry cache: faults, migrations and walks hit the same
-        // allocation repeatedly, making the common probe two compares.
-        std::size_t h = hot_.load(std::memory_order_relaxed);
-        if (h < ranges_.size()) {
-            const Range &r = ranges_[h];
-            if (b >= r.first && b < r.end)
-                return r.base + static_cast<BlockIndex>(b - r.first);
-        }
-        return findSlow(b);
+        // Unsigned wrap sends ids below the span past its end too.
+        std::uint64_t off = b - indexBase_;
+        return off < index_.size() ? index_[off] : kNoBlockIndex;
     }
 
     /** True if @p b is registered. */
@@ -227,8 +228,10 @@ class BlockStore
     // --- validation (sim/validate.hh) -------------------------------
 
     /**
-     * Audit the slab bookkeeping: run table sorted and disjoint,
-     * every live slot's backref naming its mapped block, free runs
+     * Audit the slab bookkeeping: run table sorted and disjoint, the
+     * index spanning exactly the registered runs and mapping exactly
+     * the registered ids to their slots, every live slot's backref
+     * naming its mapped block, free runs
      * sorted/coalesced/disjoint from live slots with scrubbed
      * records, live + free covering the slab exactly, and the
      * intrusive LRU links forming one consistent list over live
@@ -246,26 +249,27 @@ class BlockStore
         BlockIndex len = 0;
     };
 
-    DEEPUM_NOALLOC BlockIndex findSlow(mem::BlockId b) const;
-
     /** Allocate @p n contiguous slots (first fit, else slab growth). */
     BlockIndex allocSlots(BlockIndex n);
 
     /** Return slots [base, base+n) to the free list, coalescing. */
     void freeSlots(BlockIndex base, BlockIndex n);
 
+    /** Fit index_ to the span of ranges_ (new entries map nothing). */
+    void respanIndex();
+
     std::vector<Range> ranges_;      ///< sorted by first block
+    /**
+     * BlockId - indexBase_ -> slot, kNoBlockIndex for unregistered
+     * ids; spans [first of the lowest run, end of the highest run)
+     * exactly, and is empty when nothing is registered.
+     */
+    std::vector<BlockIndex> index_;
+    mem::BlockId indexBase_ = 0;     ///< BlockId of index_[0]
     std::vector<BlockInfo> slab_;    ///< records, dense by slot
     std::vector<mem::BlockId> ids_;  ///< slot -> block backref
     std::vector<FreeRun> freeRuns_;  ///< sorted by base, coalesced
     std::size_t size_ = 0;           ///< live blocks
-    /**
-     * Last range hit (probe cache). A relaxed atomic because fault
-     * shards probe concurrently (FaultShardPool pass A); the hint
-     * value never affects a find() result, only which path computes
-     * it, so racy updates stay deterministic.
-     */
-    mutable std::atomic<std::size_t> hot_{0};
 
     BlockIndex lruHead_ = kNoBlockIndex;
     BlockIndex lruTail_ = kNoBlockIndex;

@@ -413,6 +413,12 @@ Driver::resolveFault(mem::BlockId b)
 void
 Driver::migrationStep()
 {
+    // Set once a prefetch finds no victim. Exact for the rest of this
+    // drain: the fault queue is empty before any prefetch is popped
+    // and nothing refills it until the loop returns, and dropping a
+    // prefetch changes no residency, pin or protection, so every
+    // later non-demand pickVictim would return kNoBlock again.
+    bool no_victim = false;
     for (;;) {
         MigrateCmd cmd;
         bool demand;
@@ -452,12 +458,23 @@ Driver::migrationStep()
         // transfer, map.
         sim::Tick t0 = curTick();
         sim::Tick t = t0;
+        if (!demand && no_victim && frames_.freePages() < bi.pages) {
+#ifdef DEEPUM_VALIDATE
+            DEEPUM_ASSERT(policy_->pickVictim(*this, /*demand=*/false) ==
+                              kNoBlock,
+                          "a prefetch found a victim after an earlier "
+                          "one in the same drain found none");
+#endif
+            ++prefetchDropped_;
+            continue;
+        }
         if (!makeRoom(bi.pages, t, demand)) {
             if (demand) {
                 sim::panic("no evictable block for a demand fault "
                            "(GPU memory too small for one batch?)");
             }
             // Drop the prefetch: everything resident is protected.
+            no_victim = true;
             ++prefetchDropped_;
             continue;
         }
@@ -469,20 +486,14 @@ Driver::migrationStep()
         std::uint32_t pages = bi.pages;
         if (htod) {
             std::uint64_t bytes = std::uint64_t(pages) * mem::kPageSize;
-            if (demand) {
-                // Fault-path migration: fault-granularity chunks,
-                // each with a handling round trip (see TimingConfig).
-                std::uint64_t chunk = cfg_.demandChunkBytes;
-                while (bytes > 0) {
-                    std::uint64_t n = bytes < chunk ? bytes : chunk;
-                    t = link_.acquire(t, n, gpu::Dir::HostToDev) +
-                        cfg_.demandChunkOverhead;
-                    bytes -= n;
-                }
-            } else {
-                // Driver-initiated bulk copy at full block size.
-                t = link_.acquire(t, bytes, gpu::Dir::HostToDev);
-            }
+            // Fault-path migration moves fault-granularity chunks,
+            // each with a handling round trip (see TimingConfig); a
+            // prefetch is one driver-initiated bulk copy.
+            t = demand ? link_.acquireChunked(t, bytes,
+                                              cfg_.demandChunkBytes,
+                                              cfg_.demandChunkOverhead,
+                                              gpu::Dir::HostToDev)
+                       : link_.acquire(t, bytes, gpu::Dir::HostToDev);
         } else {
             t += cfg_.zeroFillPerPage * pages;
         }
@@ -589,21 +600,14 @@ Driver::evictBlock(mem::BlockId victim, sim::Tick &t, bool demand)
         ++invalidatedBlocks_;
     } else {
         std::uint64_t bytes = std::uint64_t(bi.pages) * mem::kPageSize;
-        if (demand) {
-            // Eviction inside the fault handler moves data at fault
-            // granularity with handling round trips — the expensive
-            // critical-path work pre-eviction exists to avoid
-            // (paper Section 5.1).
-            std::uint64_t chunk = cfg_.demandChunkBytes;
-            while (bytes > 0) {
-                std::uint64_t n = bytes < chunk ? bytes : chunk;
-                t = link_.acquire(t, n, gpu::Dir::DevToHost) +
-                    cfg_.demandChunkOverhead;
-                bytes -= n;
-            }
-        } else {
-            t = link_.acquire(t, bytes, gpu::Dir::DevToHost);
-        }
+        // Eviction inside the fault handler moves data at fault
+        // granularity with handling round trips — the expensive
+        // critical-path work pre-eviction exists to avoid (paper
+        // Section 5.1).
+        t = demand ? link_.acquireChunked(t, bytes, cfg_.demandChunkBytes,
+                                          cfg_.demandChunkOverhead,
+                                          gpu::Dir::DevToHost)
+                   : link_.acquire(t, bytes, gpu::Dir::DevToHost);
         t += cfg_.mapBlock;
         bi.loc = Loc::Host;
         ++evictedBlocks_;

@@ -17,7 +17,7 @@
  *    prefetch queue; owns the PCIe link).
  *
  * Per-block metadata lives in a dense BlockStore (block_store.hh):
- * BlockId -> slab index is one range probe, the LRU is intrusive
+ * BlockId -> slab index is one array read, the LRU is intrusive
  * indices inside BlockInfo, and "pinned by an outstanding fault" is a
  * bit in the record plus a counter — no hashing anywhere on the
  * fault path.

@@ -31,6 +31,12 @@ class EvictionPolicy
      * a prefetch may rather be dropped than evict useful data).
      * @return the victim, or kNoBlock when nothing is evictable.
      *
+     * Must depend only on the driver's state (residency, pins) and
+     * the policy's inputs (e.g. DeepUM's protected set): once a
+     * non-demand call returns kNoBlock, the driver drops the rest of
+     * that migration drain's prefetches that need room without asking
+     * again.
+     *
      * Runs per evicted block on the fault critical path, so every
      * implementation is DEEPUM_NOALLOC (annotate overrides too — the
      * attribute does not propagate through the vtable).

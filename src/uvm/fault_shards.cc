@@ -30,8 +30,8 @@ FaultShardPool::setShards(unsigned n)
 
 // Pass A: each shard probes a contiguous chunk of the batch, writing
 // its per-entry slot of entryIdx_ (disjoint writes) and a private
-// page sum. BlockStore::find is read-only and safe to call
-// concurrently (the hot-range hint is a relaxed atomic).
+// page sum. BlockStore::find is a pure array read and safe to call
+// concurrently.
 void
 FaultShardPool::probeJob(void *ctx, unsigned shard, unsigned nshards)
 {

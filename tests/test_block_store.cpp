@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <map>
 #include <set>
@@ -83,6 +84,13 @@ compareAll(const BlockStore &st, const RefModel &m)
         ASSERT_FALSE(st.contains(run.first - 1));
     }
 
+    // Misses below and above the registered span, including ids whose
+    // offset from the span's base wraps.
+    for (mem::BlockId b : {mem::BlockId(0), kBase - 1, kBase - 2 * kMaxRun,
+                           areaBase(kAreas), areaBase(kAreas) + kMaxRun,
+                           kNoBlock})
+        ASSERT_FALSE(st.contains(b)) << "block " << b;
+
     // Whole-store iteration yields exactly the model's keys, in
     // BlockId order.
     std::vector<mem::BlockId> seen;
@@ -112,6 +120,10 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
     RefModel m;
     sim::Rng rng(2023);
     std::uint64_t nextSeq = 1;
+    // Runs registered below every registered one (the index grows
+    // downward) and unregistrations of the lowest or highest run (it
+    // shrinks).
+    int belowLowest = 0, spanShrinks = 0;
 
     for (int step = 0; step < 6000; ++step) {
         std::uint64_t op = rng.below(100);
@@ -123,6 +135,7 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
                 continue;
             mem::BlockId first = areaBase(area);
             mem::BlockId end = first + 1 + rng.below(kMaxRun);
+            belowLowest += !m.runs.empty() && area < m.runs.begin()->first;
             BlockIndex base = st.registerRun(first, end);
             ASSERT_NE(base, kNoBlockIndex);
             m.runs[area] = {first, end};
@@ -135,6 +148,8 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
             if (it == m.runs.end())
                 continue;
             auto [first, end] = it->second;
+            spanShrinks += it == m.runs.begin() ||
+                           std::next(it) == m.runs.end();
             for (mem::BlockId b = first; b != end; ++b) {
                 if (m.inLru.erase(b) != 0) {
                     st.lruErase(st.find(b));
@@ -145,9 +160,14 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
             st.unregisterRun(first, end);
             m.runs.erase(it);
         } else if (op < 70) {
-            // Probe a random block of the area; write through the
-            // record when it is live.
-            mem::BlockId b = areaBase(area) + rng.below(2 * kMaxRun);
+            // Probe a random block of the area, or one of the areas
+            // past either end; write through the record when it is
+            // live.
+            std::uint64_t probe = rng.below(kAreas + 2);
+            mem::BlockId b = probe == 0
+                                 ? kBase - 1 - rng.below(2 * kMaxRun)
+                                 : areaBase(probe - 1) +
+                                       rng.below(2 * kMaxRun);
             BlockIndex i = st.find(b);
             ASSERT_EQ(i != kNoBlockIndex, m.registered(b))
                 << "block " << b;
@@ -185,6 +205,8 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
         }
     }
     compareAll(st, m);
+    EXPECT_GT(belowLowest, 0);
+    EXPECT_GT(spanShrinks, 0);
 }
 
 TEST(BlockStore, UnregisterReusesSlabSlots)

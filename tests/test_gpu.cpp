@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "gpu/backend.hh"
@@ -14,7 +17,9 @@
 #include "gpu/pcie_link.hh"
 #include "gpu/timing.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "sim/trace.hh"
 
 using namespace deepum;
 using namespace deepum::gpu;
@@ -77,6 +82,77 @@ TEST(PcieLink, IdleAtRespectsBusyWindow)
     sim::Tick done = link.acquire(100, 4096, Dir::HostToDev);
     EXPECT_FALSE(link.idleAt(done - 1));
     EXPECT_TRUE(link.idleAt(done));
+}
+
+/**
+ * The per-chunk reference acquireChunked() replaces: one acquire()
+ * per piece, @p gap added after each.
+ */
+sim::Tick
+chunkedByLoop(PcieLink &link, sim::Tick t, std::uint64_t bytes,
+              std::uint64_t chunk, sim::Tick gap, Dir dir)
+{
+    while (bytes > 0) {
+        std::uint64_t n = std::min(bytes, chunk);
+        t = link.acquire(t, n, dir) + gap;
+        bytes -= n;
+    }
+    return t;
+}
+
+std::string
+traceJson(const sim::Tracer &tr)
+{
+    std::ostringstream os;
+    tr.writeJson(os);
+    return os.str();
+}
+
+TEST(PcieLink, ChunkedReservationMatchesPerChunkLoop)
+{
+    sim::Rng rng(14);
+    for (int trial = 0; trial < 4000; ++trial) {
+        TimingConfig cfg;
+        cfg.pcieBytesPerSec = sim::kGiB + rng.below(15 * sim::kGiB);
+        cfg.pcieLatency = rng.below(20 * sim::kUsec);
+        std::uint64_t chunk = 1 + rng.below(256 * sim::kKiB);
+        sim::Tick gap = trial % 8 == 0 ? 0 : rng.below(50 * sim::kUsec);
+        // 0 bytes, under one chunk, whole chunks, whole chunks plus a
+        // partial tail.
+        std::uint64_t whole = chunk * (1 + rng.below(40));
+        std::uint64_t part = rng.below(chunk);
+        std::uint64_t bytes = trial % 4 == 0   ? 0
+                              : trial % 4 == 1 ? part
+                              : trial % 4 == 2 ? whole
+                                               : whole + part;
+        Dir dir = trial % 2 == 0 ? Dir::HostToDev : Dir::DevToHost;
+
+        PcieLink got(cfg), want(cfg);
+        sim::Tracer got_tr, want_tr;
+        got.setTracer(&got_tr);
+        want.setTracer(&want_tr);
+        // Same random prior state on both: busy until some tick, with
+        // traffic in both directions already counted.
+        for (PcieLink *l : {&got, &want}) {
+            sim::Rng state(trial);
+            l->acquire(state.below(sim::kMsec), state.below(sim::kMiB),
+                       Dir::HostToDev);
+            l->acquire(0, state.below(sim::kMiB), Dir::DevToHost);
+        }
+        sim::Tick now = rng.below(3 * sim::kMsec);
+
+        ASSERT_EQ(got.acquireChunked(now, bytes, chunk, gap, dir),
+                  chunkedByLoop(want, now, bytes, chunk, gap, dir))
+            << "trial " << trial << ": " << bytes << " bytes in "
+            << chunk << "-byte chunks, gap " << gap;
+        ASSERT_EQ(got.freeAt(), want.freeAt());
+        ASSERT_EQ(got.busyTicks(), want.busyTicks());
+        ASSERT_EQ(got.bytesHtoD(), want.bytesHtoD());
+        ASSERT_EQ(got.bytesDtoH(), want.bytesDtoH());
+        ASSERT_EQ(got_tr.eventCount(), want_tr.eventCount());
+        ASSERT_EQ(traceJson(got_tr), traceJson(want_tr))
+            << "trial " << trial;
+    }
 }
 
 TEST(Timing, CopyTicksLinear)

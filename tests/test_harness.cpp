@@ -55,6 +55,19 @@ TEST(Harness, OcDnnBeatsUmButTrailsDeepUm)
     EXPECT_GT(oc.stats.at("uvm.prefetchIssued"), 0u);
 }
 
+TEST(HarnessDeath, GpuSmallerThanOneSmBatchIsRejected)
+{
+    // The worst-case SM batch, 8 distinct blocks, needs 16 MiB
+    // resident at once; bert-base/30 never finishes in 14 MiB, so the
+    // config is refused before any setup.
+    torch::Tape tape = models::buildModel("bert-base", 30);
+    ExperimentConfig cfg = quick();
+    EXPECT_EQ(minGpuMemBytes(cfg.timing), 16 * sim::kMiB);
+    cfg.gpuMemBytes = 14 * sim::kMiB;
+    EXPECT_EXIT(runExperiment(tape, SystemKind::Um, cfg),
+                testing::ExitedWithCode(1), "below one SM batch");
+}
+
 TEST(Harness, SystemNamesArePrintable)
 {
     EXPECT_STREQ(systemName(SystemKind::Um), "UM");

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "gpu/fault_buffer.hh"
@@ -15,6 +16,7 @@
 #include "mem/frame_pool.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "sim/validate.hh"
 #include "uvm/driver.hh"
 
 using namespace deepum;
@@ -333,6 +335,76 @@ TEST(UvmDriver, FaultQueueHasPriorityOverPrefetchQueue)
     EXPECT_EQ(w.drv.blockInfo(b0).loc, Loc::Device);
     EXPECT_EQ(w.drv.blockInfo(b0 + 5).loc, Loc::Device);
     EXPECT_EQ(w.stats.get("uvm.replaysSent"), 1u);
+}
+
+/**
+ * Refuses every non-demand request and counts the calls; demand
+ * requests get the stock least-recently-migrated victim.
+ */
+class RefusingPolicy : public EvictionPolicy
+{
+  public:
+    explicit RefusingPolicy(int &non_demand_calls)
+        : nonDemandCalls_(non_demand_calls)
+    {
+    }
+
+    mem::BlockId
+    pickVictim(const Driver &drv, bool demand) override
+    {
+        if (!demand) {
+            ++nonDemandCalls_;
+            return kNoBlock;
+        }
+        return lru_.pickVictim(drv, demand);
+    }
+
+    const char *name() const override { return "refusing"; }
+
+  private:
+    int &nonDemandCalls_;
+    LruMigratedPolicy lru_;
+};
+
+TEST(UvmDriver, OneVictimSearchPerDrainWhenPrefetchesFindNone)
+{
+    World w;
+    int calls = 0;
+    w.drv.setEvictionPolicy(std::make_unique<RefusingPolicy>(calls));
+
+    // Fill all but 256 frames: three full blocks and a 256-page tail.
+    mem::VAddr va = mem::kUmBase;
+    w.drv.registerRange(va, 3 * mem::kBlockBytes + 256 * mem::kPageSize);
+    mem::BlockId a0 = mem::blockOf(va);
+    w.touch({a0, a0 + 1, a0 + 2, a0 + 3});
+    ASSERT_EQ(w.frames.freePages(), 256u);
+
+    // K full blocks that need room, then a 100-page tail that fits,
+    // all queued before the migration thread runs: one drain.
+    constexpr int kNeedRoom = 5;
+    mem::VAddr vb = va + 8 * mem::kBlockBytes;
+    w.drv.registerRange(vb, kNeedRoom * mem::kBlockBytes +
+                                100 * mem::kPageSize);
+    mem::BlockId b0 = mem::blockOf(vb);
+    for (int k = 0; k <= kNeedRoom; ++k)
+        ASSERT_TRUE(w.drv.enqueuePrefetch(b0 + k, 0));
+    w.eq.run();
+
+    // The first refusal stands for the rest of the drain; a
+    // DEEPUM_VALIDATE build re-asks for every skipped search to
+    // prove the answer is still "none".
+    EXPECT_EQ(calls, sim::kValidateBuild ? kNeedRoom : 1);
+    EXPECT_EQ(w.stats.get("uvm.prefetchDropped"), std::uint64_t(kNeedRoom));
+    for (int k = 0; k < kNeedRoom; ++k)
+        EXPECT_NE(w.drv.blockInfo(b0 + k).loc, Loc::Device);
+    EXPECT_EQ(w.drv.blockInfo(b0 + kNeedRoom).loc, Loc::Device);
+    EXPECT_EQ(w.stats.get("uvm.prefetchCompleted"), 1u);
+    EXPECT_EQ(w.stats.get("uvm.demandEvictions"), 0u);
+
+    // A new drain asks again.
+    ASSERT_TRUE(w.drv.enqueuePrefetch(b0, 0));
+    w.eq.run();
+    EXPECT_EQ(calls, sim::kValidateBuild ? kNeedRoom + 1 : 2);
 }
 
 TEST(UvmDriver, DirtyEvictionTrafficIsSymmetric)
