@@ -2,7 +2,7 @@
  * @file
  * Fault-path throughput benchmark.
  *
- * Two measurements:
+ * Three measurements:
  *
  *  1. End-to-end: a bare Driver + GpuEngine stack runs a sliding
  *     window of kernels over more blocks than the GPU holds, so every
@@ -39,13 +39,11 @@
  *   fault_path [--kernels N] [--blocks N] [--gpu-blocks N]
  *              [--corr-kernels N] [--micro-ops N] [--json file]
  *              [--stats-json file] [--corr-stats-json file]
- *              [--service-threads N] [--sm-batch N]
+ *              [--sm-batch N]
  *
- * --service-threads shards fault-batch servicing across N host
- * threads (uvm::FaultShardPool); the stats dumps are byte-identical
- * at any value, which CI checks by diffing the --stats-json output
- * across thread counts. --sm-batch raises the modelled SM fault-batch
- * ceiling so batches get big enough for the shards to matter.
+ * --sm-batch sets the modelled SM fault-batch ceiling (0 keeps the
+ * TimingConfig default). Every number must be an unsigned decimal
+ * integer that fits its field; anything else exits 2 naming the flag.
  */
 
 #include <chrono>
@@ -53,7 +51,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <list>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -69,6 +69,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "support/parse_num.hh"
 #include "uvm/driver.hh"
 
 #if __has_include("uvm/block_store.hh")
@@ -96,8 +97,6 @@ struct EndToEnd {
     std::uint64_t kernels = 0;
     sim::Tick simTicks = 0;
     std::uint64_t eventsExecuted = 0;
-    std::uint64_t eventsNear = 0;
-    std::uint64_t eventsOverflow = 0;
     double wallSec = 0;
     double faultsPerSec = 0;
 };
@@ -112,7 +111,7 @@ struct EndToEnd {
 EndToEnd
 runEndToEnd(std::uint64_t kernels, std::uint64_t totalBlocks,
             std::uint64_t gpuBlocks, const std::string &statsJson,
-            unsigned serviceThreads, unsigned smBatch)
+            unsigned smBatch)
 {
     sim::EventQueue eq;
     sim::StatSet stats;
@@ -123,7 +122,6 @@ runEndToEnd(std::uint64_t kernels, std::uint64_t totalBlocks,
     mem::FramePool frames{gpuBlocks * mem::kPagesPerBlock};
     gpu::GpuEngine engine{eq, cfg, fb, stats};
     uvm::Driver drv{eq, cfg, fb, link, frames, stats};
-    drv.setServiceThreads(serviceThreads);
     engine.setBackend(&drv);
     drv.setEngine(&engine);
 
@@ -160,8 +158,6 @@ runEndToEnd(std::uint64_t kernels, std::uint64_t totalBlocks,
     r.kernels = kernels;
     r.simTicks = eq.now();
     r.eventsExecuted = eq.executed();
-    r.eventsNear = eq.nearScheduled();
-    r.eventsOverflow = eq.overflowScheduled();
     r.faultsPerSec = r.wallSec > 0
                          ? static_cast<double>(r.pageFaults) / r.wallSec
                          : 0.0;
@@ -186,8 +182,6 @@ struct CorrHeavy {
     std::uint64_t kernels = 0;
     sim::Tick simTicks = 0;
     std::uint64_t eventsExecuted = 0;
-    std::uint64_t eventsNear = 0;
-    std::uint64_t eventsOverflow = 0;
     double wallSec = 0;
     double faultsPerSec = 0;
 };
@@ -205,7 +199,7 @@ struct CorrHeavy {
 CorrHeavy
 runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
              std::uint64_t gpuBlocks, const std::string &statsJson,
-             unsigned serviceThreads, unsigned smBatch)
+             unsigned smBatch)
 {
     sim::EventQueue eq;
     sim::StatSet stats;
@@ -216,7 +210,6 @@ runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
     mem::FramePool frames{gpuBlocks * mem::kPagesPerBlock};
     gpu::GpuEngine engine{eq, cfg, fb, stats};
     uvm::Driver drv{eq, cfg, fb, link, frames, stats};
-    drv.setServiceThreads(serviceThreads);
     engine.setBackend(&drv);
     drv.setEngine(&engine);
     core::DeepUmConfig dcfg;
@@ -266,11 +259,6 @@ runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
     r.kernels = kernels;
     r.simTicks = eq.now();
     r.eventsExecuted = eq.executed();
-    r.eventsNear = eq.nearScheduled();
-    r.eventsOverflow = eq.overflowScheduled();
-    r.eventsExecuted = eq.executed();
-    r.eventsNear = eq.nearScheduled();
-    r.eventsOverflow = eq.overflowScheduled();
     r.faultsPerSec = r.wallSec > 0
                          ? static_cast<double>(r.pageFaults) / r.wallSec
                          : 0.0;
@@ -431,31 +419,39 @@ main(int argc, char **argv)
     std::uint64_t totalBlocks = 1024;
     std::uint64_t gpuBlocks = 256;
     std::uint64_t microOps = 20'000'000;
-    unsigned serviceThreads = 1;
     unsigned smBatch = 0; // 0 = the TimingConfig default
     std::string json, statsJson, corrStatsJson;
+
+    constexpr std::uint64_t kMaxU64 =
+        std::numeric_limits<std::uint64_t>::max();
+    // The driver numbers blocks with a 32-bit uvm::BlockIndex; below
+    // that bound the byte count (at most 2^53) cannot wrap either.
+    constexpr std::uint64_t kMaxBlocks = uvm::kNoBlockIndex;
+    // The value after flag argv[i] in [lo, hi]; exits 2 otherwise.
+    auto num = [&](int &i, std::uint64_t lo, std::uint64_t hi) {
+        const char *flag = argv[i];
+        std::optional<std::uint64_t> v =
+            support::parseNum("fault_path", flag, argv[++i], lo, hi);
+        if (!v)
+            std::exit(2);
+        return *v;
+    };
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--kernels" && i + 1 < argc) {
-            kernels = std::strtoull(argv[++i], nullptr, 10);
+            kernels = num(i, 0, kMaxU64);
         } else if (a == "--corr-kernels" && i + 1 < argc) {
-            corrKernels = std::strtoull(argv[++i], nullptr, 10);
+            corrKernels = num(i, 0, kMaxU64);
         } else if (a == "--blocks" && i + 1 < argc) {
-            totalBlocks = std::strtoull(argv[++i], nullptr, 10);
+            totalBlocks = num(i, 1, kMaxBlocks);
         } else if (a == "--gpu-blocks" && i + 1 < argc) {
-            gpuBlocks = std::strtoull(argv[++i], nullptr, 10);
+            gpuBlocks = num(i, 0, kMaxBlocks);
         } else if (a == "--micro-ops" && i + 1 < argc) {
-            microOps = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--service-threads" && i + 1 < argc) {
-            serviceThreads = static_cast<unsigned>(
-                std::strtoull(argv[++i], nullptr, 10));
-            if (serviceThreads == 0)
-                serviceThreads = std::max(
-                    1u, std::thread::hardware_concurrency());
+            microOps = num(i, 0, kMaxU64);
         } else if (a == "--sm-batch" && i + 1 < argc) {
             smBatch = static_cast<unsigned>(
-                std::strtoull(argv[++i], nullptr, 10));
+                num(i, 0, std::numeric_limits<unsigned>::max()));
         } else if (a == "--json" && i + 1 < argc) {
             json = argv[++i];
         } else if (a == "--stats-json" && i + 1 < argc) {
@@ -467,7 +463,7 @@ main(int argc, char **argv)
                 stderr,
                 "usage: fault_path [--kernels N] [--blocks N] "
                 "[--gpu-blocks N] [--corr-kernels N] [--micro-ops N] "
-                "[--service-threads N] [--sm-batch N] "
+                "[--sm-batch N] "
                 "[--json file] [--stats-json file] "
                 "[--corr-stats-json file]\n");
             return 2;
@@ -486,9 +482,8 @@ main(int argc, char **argv)
 
     banner("fault-path throughput (full Figure-3 pipeline)");
     EndToEnd e = runEndToEnd(kernels, totalBlocks, gpuBlocks,
-                             statsJson, serviceThreads, smBatch);
+                             statsJson, smBatch);
     std::printf("host cores           %u\n", cores);
-    std::printf("service threads      %u\n", serviceThreads);
     std::printf("sm batch             %u\n", smBatch);
     std::printf("kernels              %llu\n",
                 static_cast<unsigned long long>(e.kernels));
@@ -503,7 +498,7 @@ main(int argc, char **argv)
     if (corrKernels > 0) {
         banner("correlation-heavy fault path (DeepUM attached)");
         c = runCorrHeavy(corrKernels, totalBlocks, gpuBlocks,
-                         corrStatsJson, serviceThreads, smBatch);
+                         corrStatsJson, smBatch);
         std::printf("kernels              %llu\n",
                     static_cast<unsigned long long>(c.kernels));
         std::printf("page faults          %llu\n",
@@ -516,18 +511,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(c.chainsStarted));
         std::printf("wall time            %.3f s\n", c.wallSec);
         std::printf("faults/sec           %.3e\n", c.faultsPerSec);
-        double nearFrac =
-            c.eventsNear + c.eventsOverflow > 0
-                ? static_cast<double>(c.eventsNear) /
-                      static_cast<double>(c.eventsNear +
-                                          c.eventsOverflow)
-                : 0.0;
         std::printf("events executed      %llu\n",
                     static_cast<unsigned long long>(c.eventsExecuted));
-        std::printf("calendar near/ovfl   %llu / %llu (%.4f near)\n",
-                    static_cast<unsigned long long>(c.eventsNear),
-                    static_cast<unsigned long long>(c.eventsOverflow),
-                    nearFrac);
     }
 
 #ifdef FAULT_PATH_HAVE_BLOCK_STORE
@@ -554,7 +539,6 @@ main(int argc, char **argv)
         }
         os << "{\n"
            << "  \"host_cores\": " << cores << ",\n"
-           << "  \"service_threads\": " << serviceThreads << ",\n"
            << "  \"sm_batch\": " << smBatch << ",\n"
            << "  \"kernels\": " << e.kernels << ",\n"
            << "  \"total_blocks\": " << totalBlocks << ",\n"
@@ -573,8 +557,6 @@ main(int argc, char **argv)
                << ", \"chains_started\": " << c.chainsStarted
                << ", \"sim_ticks\": " << c.simTicks
                << ", \"events_executed\": " << c.eventsExecuted
-               << ", \"events_near\": " << c.eventsNear
-               << ", \"events_overflow\": " << c.eventsOverflow
                << ", \"wall_sec\": " << c.wallSec
                << ", \"faults_per_sec\": " << c.faultsPerSec << "}";
         }

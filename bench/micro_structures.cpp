@@ -13,7 +13,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -26,7 +25,6 @@
 #include "sim/event_queue.hh"
 #include "sim/inline_fn.hh"
 #include "sim/rng.hh"
-#include "sim/shard_workers.hh"
 #include "sim/spsc_queue.hh"
 #include "uvm/block_store.hh"
 #include "uvm/driver.hh"
@@ -177,7 +175,10 @@ BM_SpscQueueRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_SpscQueueRoundTrip);
 
-/** The simulator's delay mix (see bench/sim_throughput.cpp). */
+/**
+ * A mixed delay ring: 10% zero-delay, 70% short (up to 2000 ticks),
+ * 20% long (10k-210k ticks).
+ */
 std::vector<sim::Tick>
 mixedDelays()
 {
@@ -196,8 +197,10 @@ mixedDelays()
 }
 
 /**
- * Steady-state calendar-queue push+pop: a standing population of
- * 1024 events, one scheduled and one executed per iteration.
+ * Steady-state event-queue push+pop: one event scheduled and one
+ * executed per iteration over a standing population of 2 events,
+ * the most any benchmark workload ever holds pending (EXPERIMENTS.md,
+ * "Event-queue depth and fault-batch size").
  */
 void
 BM_EventQueueScheduleStep(benchmark::State &state)
@@ -205,7 +208,7 @@ BM_EventQueueScheduleStep(benchmark::State &state)
     sim::EventQueue eq;
     const auto delays = mixedDelays();
     std::uint64_t sink = 0, n = 0;
-    for (std::uint64_t i = 0; i < 1024; ++i)
+    for (std::uint64_t i = 0; i < 2; ++i)
         eq.scheduleIn(delays[i & 1023], [&sink] { ++sink; });
     for (auto _ : state) {
         eq.scheduleIn(delays[++n & 1023], [&sink] { ++sink; });
@@ -423,35 +426,5 @@ BM_PrefetchQueueDrain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * burst);
 }
 BENCHMARK(BM_PrefetchQueueDrain)->Arg(8)->Arg(64)->Arg(256);
-
-struct ShardNopCtx {
-    std::atomic<std::uint64_t> sink{0};
-};
-
-void
-shardNopJob(void *ctx, unsigned shard, unsigned)
-{
-    static_cast<ShardNopCtx *>(ctx)->sink.fetch_add(
-        shard, std::memory_order_relaxed);
-}
-
-/**
- * Pure fork/join dispatch cost of ShardWorkers::run with an empty
- * job body — the fixed overhead a fault batch must amortize before
- * sharded preprocessing wins. Arg = shard count; 1 is the inline
- * (no-thread) path and is the baseline the kMinParallelEntries
- * threshold is calibrated against.
- */
-void
-BM_ShardWorkersRoundTrip(benchmark::State &state)
-{
-    sim::ShardWorkers team(static_cast<unsigned>(state.range(0)));
-    ShardNopCtx ctx;
-    for (auto _ : state)
-        team.run(&shardNopJob, &ctx);
-    benchmark::DoNotOptimize(ctx.sink.load());
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardWorkersRoundTrip)->Arg(1)->Arg(2)->Arg(4);
 
 } // namespace

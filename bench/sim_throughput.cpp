@@ -1,99 +1,28 @@
 /**
  * @file
- * Event-queue throughput benchmark.
- *
- * Drives the production calendar EventQueue and an embedded copy of
- * the pre-rewrite binary-heap queue (std::function events ordered by
- * a std::priority_queue — the seed implementation) through an
- * identical self-rescheduling event pattern, and reports events/sec
- * for both plus the speedup. The pattern mixes the simulator's delay
- * classes: 10% zero-delay (same-bucket sorted insert), 70% short
- * (in-ring), 20% long (overflow tier), over 16 concurrent chains.
- * Both queues must fire the exact same sequence — checked with a
- * tick-sum checksum.
- *
- * With --grid it also measures wall-clock for a reduced-iteration
- * sweepGrid() run serially and on a thread pool, reporting the
+ * Simulator wall-clock benchmark: one reduced-iteration sweepGrid()
+ * pass of DeepUM runs, timed serially and on a thread pool, with the
  * parallel speedup (bounded by the machine's core count).
  *
  * Usage:
- *   sim_throughput [--events N] [--grid] [--jobs N] [--out file.json]
+ *   sim_throughput [--jobs N] [--out file.json]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <string>
-#include <vector>
+#include <thread>
 
 #include "bench/common.hh"
-#include "sim/event_queue.hh"
-#include "sim/rng.hh"
 
 using namespace deepum;
 using namespace deepum::bench;
 
 namespace {
-
-/**
- * The seed event queue, kept verbatim as the comparison baseline:
- * std::function callbacks in a binary heap with the same (tick, seq)
- * ordering contract.
- */
-class HeapQueue
-{
-  public:
-    sim::Tick now() const { return curTick_; }
-    std::uint64_t executed() const { return executed_; }
-
-    void
-    schedule(sim::Tick when, std::function<void()> fn)
-    {
-        heap_.push(Entry{when, nextSeq_++, std::move(fn)});
-    }
-
-    void
-    scheduleIn(sim::Tick delay, std::function<void()> fn)
-    {
-        schedule(curTick_ + delay, std::move(fn));
-    }
-
-    void
-    run()
-    {
-        while (!heap_.empty()) {
-            Entry e = std::move(const_cast<Entry &>(heap_.top()));
-            heap_.pop();
-            curTick_ = e.when;
-            ++executed_;
-            e.fn();
-        }
-    }
-
-  private:
-    struct Entry {
-        sim::Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    sim::Tick curTick_ = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::uint64_t executed_ = 0;
-};
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -101,74 +30,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** One throughput measurement: events/sec plus a firing checksum. */
-struct QueueScore {
-    double eventsPerSec = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t checksum = 0; ///< sum of firing ticks
-};
-
-/**
- * Run the self-rescheduling chain pattern on any queue exposing
- * schedule/scheduleIn/run/now/executed.
- */
-template <typename Queue>
-QueueScore
-runPattern(std::uint64_t total_events,
-           const std::vector<sim::Tick> &delays)
-{
-    Queue q;
-    std::uint64_t fired = 0, checksum = 0;
-
-    struct Chain {
-        Queue *q;
-        const sim::Tick *delays;
-        std::uint64_t *fired, *checksum;
-        std::uint64_t limit;
-        void
-        operator()() const
-        {
-            std::uint64_t n = ++*fired;
-            *checksum += q->now();
-            if (n >= limit)
-                return;
-            q->scheduleIn(delays[n & 1023], *this);
-        }
-    };
-
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < 16; ++i)
-        q.schedule(i, Chain{&q, delays.data(), &fired, &checksum,
-                            total_events});
-    q.run();
-    double sec = secondsSince(t0);
-
-    QueueScore s;
-    s.executed = q.executed();
-    s.checksum = checksum;
-    s.eventsPerSec = sec > 0 ? static_cast<double>(s.executed) / sec
-                             : 0.0;
-    return s;
-}
-
-/** The mixed delay ring (deterministic; see file comment). */
-std::vector<sim::Tick>
-makeDelays()
-{
-    std::vector<sim::Tick> delays(1024);
-    sim::Rng rng(42);
-    for (auto &d : delays) {
-        std::uint64_t r = rng.below(100);
-        if (r < 10)
-            d = 0;
-        else if (r < 80)
-            d = 1 + rng.below(2000);
-        else
-            d = 10'000 + rng.below(200'000);
-    }
-    return delays;
 }
 
 /** Wall-clock one sweepGrid pass (reduced iterations) on @p jobs. */
@@ -198,71 +59,34 @@ gridSeconds(unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t events = 20'000'000;
-    bool grid = false;
     unsigned jobs = 0; // 0 = one per hardware thread
     std::string out;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--events" && i + 1 < argc) {
-            events = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--grid") {
-            grid = true;
-        } else if (a == "--jobs" && i + 1 < argc) {
+        if (a == "--jobs" && i + 1 < argc) {
             jobs = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
         } else if (a == "--out" && i + 1 < argc) {
             out = argv[++i];
         } else {
             std::fprintf(stderr,
-                         "usage: sim_throughput [--events N] [--grid] "
-                         "[--jobs N] [--out file.json]\n");
+                         "usage: sim_throughput [--jobs N] "
+                         "[--out file.json]\n");
             return 2;
         }
     }
     if (jobs == 0)
         jobs = std::max(1u, std::thread::hardware_concurrency());
 
-    const auto delays = makeDelays();
-
-    banner("event-queue throughput (calendar queue vs seed binary "
-           "heap)");
-    QueueScore heap = runPattern<HeapQueue>(events, delays);
-    QueueScore cal = runPattern<sim::EventQueue>(events, delays);
-
-    bool match = cal.checksum == heap.checksum &&
-                 cal.executed == heap.executed;
-    double speedup = heap.eventsPerSec > 0
-                         ? cal.eventsPerSec / heap.eventsPerSec
-                         : 0.0;
-    std::printf("events               %llu\n",
-                static_cast<unsigned long long>(cal.executed));
-    std::printf("heap queue           %.3e events/sec\n",
-                heap.eventsPerSec);
-    std::printf("calendar queue       %.3e events/sec\n",
-                cal.eventsPerSec);
+    banner("sweepGrid wall-clock (reduced iterations)");
+    double grid_serial = gridSeconds(1);
+    double grid_parallel = gridSeconds(jobs);
+    double speedup =
+        grid_parallel > 0 ? grid_serial / grid_parallel : 0.0;
+    std::printf("serial (1 job)       %.2f s\n", grid_serial);
+    std::printf("parallel (%u jobs)   %.2f s\n", jobs, grid_parallel);
     std::printf("speedup              %.2fx\n", speedup);
-    std::printf("firing order         %s\n",
-                match ? "identical (checksum match)" : "MISMATCH");
-    if (!match) {
-        std::fprintf(stderr,
-                     "error: queues disagree on the firing order\n");
-        return 1;
-    }
-
-    double grid_serial = 0, grid_parallel = 0;
-    if (grid) {
-        banner("sweepGrid wall-clock (reduced iterations)");
-        grid_serial = gridSeconds(1);
-        grid_parallel = gridSeconds(jobs);
-        std::printf("serial (1 job)       %.2f s\n", grid_serial);
-        std::printf("parallel (%u jobs)   %.2f s\n", jobs,
-                    grid_parallel);
-        std::printf("speedup              %.2fx\n",
-                    grid_parallel > 0 ? grid_serial / grid_parallel
-                                      : 0.0);
-    }
 
     if (!out.empty()) {
         std::ofstream os(out);
@@ -276,23 +100,10 @@ main(int argc, char **argv)
            << "  \"host_cores\": "
            << std::max(1u, std::thread::hardware_concurrency())
            << ",\n"
-           << "  \"events\": " << cal.executed << ",\n"
-           << "  \"heap_events_per_sec\": " << heap.eventsPerSec
-           << ",\n"
-           << "  \"calendar_events_per_sec\": " << cal.eventsPerSec
-           << ",\n"
-           << "  \"queue_speedup\": " << speedup << ",\n"
-           << "  \"checksum_match\": " << (match ? "true" : "false");
-        if (grid) {
-            os << ",\n  \"grid\": {\"jobs\": " << jobs
-               << ", \"serial_sec\": " << grid_serial
-               << ", \"parallel_sec\": " << grid_parallel
-               << ", \"speedup\": "
-               << (grid_parallel > 0 ? grid_serial / grid_parallel
-                                     : 0.0)
-               << "}";
-        }
-        os << "\n}\n";
+           << "  \"grid\": {\"jobs\": " << jobs
+           << ", \"serial_sec\": " << grid_serial
+           << ", \"parallel_sec\": " << grid_parallel
+           << ", \"speedup\": " << speedup << "}\n}\n";
     }
     return 0;
 }

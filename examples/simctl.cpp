@@ -24,13 +24,13 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +40,7 @@
 #include "harness/report.hh"
 #include "models/registry.hh"
 #include "sim/logging.hh"
+#include "support/parse_num.hh"
 
 using namespace deepum;
 
@@ -65,8 +66,7 @@ usage(int status = 2)
         "              [--ledger] [--report <file|->] "
         "[--thrash-window N]\n"
         "              [--timeseries <file>] [--sample-interval N]\n"
-        "              [--batches N,N,...] [--jobs N] "
-        "[--service-threads N]\n"
+        "              [--batches N,N,...] [--jobs N]\n"
         "\n"
         "  --trace <file>       write a Chrome/Perfetto trace of the "
         "run\n"
@@ -85,10 +85,6 @@ usage(int status = 2)
         "each\n"
         "  --jobs N             threads for the sweep (0 = one per "
         "core)\n"
-        "  --service-threads N  shards for fault-batch servicing "
-        "(0 = one\n"
-        "                       per core; stats are byte-identical "
-        "at any N)\n"
         "\n"
         "  Numbers are unsigned decimal integers; each flag rejects "
         "values outside\n"
@@ -115,35 +111,19 @@ constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 /**
- * Parse @p text as the value of @p flag: an unsigned decimal integer
- * in [@p lo, @p hi]. Anything else exits naming the flag. strtoull
- * alone would accept a sign ("-5" wraps to 2^64 - 5) and leading
- * blanks, and the caller's narrowing cast would wrap values wider
- * than the field.
+ * @p text as the value of @p flag, an unsigned integer in
+ * [@p lo, @p hi] (support::parseNum); anything else exits naming the
+ * flag.
  */
 std::uint64_t
 parseNum(const char *flag, const std::string &text, std::uint64_t lo,
          std::uint64_t hi)
 {
-    const char *s = text.c_str();
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(s, &end, 10);
-    if (*s < '0' || *s > '9' || *end != '\0') {
-        std::fprintf(stderr,
-                     "simctl: %s expects an unsigned integer, got "
-                     "'%s'\n",
-                     flag, s);
+    std::optional<std::uint64_t> v =
+        support::parseNum("simctl", flag, text, lo, hi);
+    if (!v)
         usage();
-    }
-    if (errno == ERANGE || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "simctl: %s must be in [%llu, %llu], got '%s'\n",
-                     flag, static_cast<unsigned long long>(lo),
-                     static_cast<unsigned long long>(hi), s);
-        usage();
-    }
-    return v;
+    return *v;
 }
 
 /** The next argument as a number in [@p lo, @p hi] (see parseNum). */
@@ -212,12 +192,6 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(numArg(argc, argv, i, 0, kMaxU32));
             if (jobs == 0)
                 jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
-        } else if (a == "--service-threads") {
-            cfg.serviceThreads = static_cast<unsigned>(
-                numArg(argc, argv, i, 0, kMaxU32));
-            if (cfg.serviceThreads == 0)
-                cfg.serviceThreads = std::max(
                     1u, std::thread::hardware_concurrency());
         } else if (a == "--system") {
             system = strArg(argc, argv, i);

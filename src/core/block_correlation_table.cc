@@ -6,7 +6,6 @@
 
 #include "sim/logging.hh"
 #include "sim/validate.hh"
-#include "uvm/fault_shards.hh"
 
 namespace deepum::core {
 
@@ -55,13 +54,6 @@ BlockCorrelationTable::find(mem::BlockId b) const
 void
 BlockCorrelationTable::record(mem::BlockId prev, mem::BlockId next)
 {
-    recordAt(prev, next, ++useClock_);
-}
-
-void
-BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
-                                std::uint64_t clock)
-{
     Entry *e = find(prev);
     if (e == nullptr) {
         // Allocate a way: first invalid, otherwise LRU replacement.
@@ -77,14 +69,14 @@ BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
         }
         const auto way = static_cast<std::size_t>(victim - entries_.data());
         if (victim->tag != uvm::kNoBlock)
-            replacements_.fetch_add(1, std::memory_order_relaxed);
+            ++replacements_;
         else
             markOccupied(way);
         victim->tag = prev;
         victim->succCount = 0;
         e = victim;
     }
-    e->lastUse = clock;
+    e->lastUse = ++useClock_;
     e->lastEpoch = epoch_;
 
     mem::BlockId *s = succsOf(static_cast<std::size_t>(e - entries_.data()));
@@ -101,53 +93,6 @@ BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
     std::memmove(s + 1, s, keep * sizeof(mem::BlockId));
     s[0] = next;
     e->succCount = keep + 1;
-}
-
-// --------------------------------------------------------------------
-// Sharded batch record (FaultShardPool borrower)
-// --------------------------------------------------------------------
-
-/** Pairs below this apply serially: dispatch costs more than it saves. */
-static constexpr std::size_t kMinParallelPairs = 64;
-
-struct BlockCorrelationTable::RecordBatchCtx {
-    BlockCorrelationTable *table;
-    const RecordPair *pairs;
-    std::size_t n;
-    std::uint64_t clockBase;
-};
-
-void
-BlockCorrelationTable::recordShardJob(void *ctx, unsigned shard,
-                                      unsigned nshards)
-{
-    auto *c = static_cast<RecordBatchCtx *>(ctx);
-    BlockCorrelationTable *t = c->table;
-    for (std::size_t i = 0; i < c->n; ++i) {
-        const RecordPair &p = c->pairs[i];
-        if (t->setIndex(p.prev) % nshards != shard)
-            continue;
-        t->recordAt(p.prev, p.next, c->clockBase + i + 1);
-    }
-}
-
-void
-BlockCorrelationTable::recordBatch(const RecordPair *pairs,
-                                   std::size_t n,
-                                   uvm::FaultShardPool *pool)
-{
-    if (pool == nullptr || pool->shards() <= 1 ||
-        n < kMinParallelPairs) {
-        for (std::size_t i = 0; i < n; ++i)
-            record(pairs[i].prev, pairs[i].next);
-        return;
-    }
-    // Each shard applies its sets' pairs in batch order with the
-    // clock value the serial loop would have used, then the
-    // coordinator advances the clock past the whole batch.
-    RecordBatchCtx ctx{this, pairs, n, useClock_};
-    pool->run(&recordShardJob, &ctx);
-    useClock_ += n;
 }
 
 void

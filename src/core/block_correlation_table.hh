@@ -26,7 +26,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -42,21 +41,7 @@ namespace deepum::sim {
 class CheckContext;
 }
 
-namespace deepum::uvm {
-class FaultShardPool;
-}
-
 namespace deepum::core {
-
-/**
- * One (prev -> next) fault adjacency, the unit recordBatch() applies.
- * The correlator collects a batch's pairs into reusable scratch so
- * the table can shard their application across service threads.
- */
-struct RecordPair {
-    mem::BlockId prev = uvm::kNoBlock;
-    mem::BlockId next = uvm::kNoBlock;
-};
 
 /**
  * Borrowed, read-only view of one entry's successor list (MRU
@@ -104,30 +89,6 @@ class BlockCorrelationTable
      */
     DEEPUM_NOALLOC DEEPUM_INVALIDATES_VIEWS
     void record(mem::BlockId prev, mem::BlockId next);
-
-    /**
-     * Apply @p n record()s, sharding across @p pool's service
-     * threads when it is non-null, has more than one shard, and the
-     * batch is worth the dispatch. Shard s applies exactly the pairs
-     * whose *set* it owns (`setIndex(prev) % nshards == s`), in batch
-     * order, with the same use-clock value the serial loop would
-     * have assigned (base + i + 1) — sets are disjoint and lastUse
-     * is only ever compared within a set, so the final table state
-     * is byte-identical to the serial loop at any shard count.
-     */
-    DEEPUM_INVALIDATES_VIEWS
-    void recordBatch(const RecordPair *pairs, std::size_t n,
-                     uvm::FaultShardPool *pool);
-
-    /**
-     * Which shard of @p nshards owns @p b's set (tests and the
-     * shard-partition property checks).
-     */
-    DEEPUM_NOALLOC unsigned
-    recordShard(mem::BlockId b, unsigned nshards) const
-    {
-        return static_cast<unsigned>(setIndex(b) % nshards);
-    }
 
     /**
      * Successors of @p b, MRU first. Empty when @p b has no entry.
@@ -230,16 +191,9 @@ class BlockCorrelationTable
      * warm-up is an MRU refresh; once the working set exceeds the
      * geometry, each conflict costs a replacement *and* destroys the
      * successor list the prefetcher would have walked (see the
-     * EXPERIMENTS.md geometry study). Relaxed-atomic because sharded
-     * recordBatch increments it from several shards; the total stays
-     * deterministic — the set partition makes each replacement event
-     * happen exactly once, only the increment order varies.
+     * EXPERIMENTS.md geometry study).
      */
-    std::uint64_t
-    replacements() const
-    {
-        return replacements_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t replacements() const { return replacements_; }
 
     /**
      * Audit structural invariants (sim/validate.hh): tags hash to
@@ -302,16 +256,6 @@ class BlockCorrelationTable
     Entry *find(mem::BlockId b);
     const Entry *find(mem::BlockId b) const;
 
-    /** record() body with an explicit use-clock value. */
-    DEEPUM_NOALLOC void recordAt(mem::BlockId prev, mem::BlockId next,
-                                 std::uint64_t clock);
-
-    // Shard-job body for recordBatch(); each shard touches only the
-    // sets it owns (fault_shards.hh).
-    struct RecordBatchCtx;
-    DEEPUM_NOALLOC static void recordShardJob(void *ctx, unsigned shard,
-                                              unsigned nshards);
-
     /** Bit of way @p way within its occupancy word. */
     static std::uint64_t
     wayBit(std::size_t way)
@@ -319,16 +263,11 @@ class BlockCorrelationTable
         return std::uint64_t(1) << (way & 63);
     }
 
-    /**
-     * Mark the way at slab index @p way occupied. An atomic RMW:
-     * sharded recordBatch() fills ways of different sets that can
-     * share one bitmap word.
-     */
+    /** Mark the way at slab index @p way occupied. */
     void
     markOccupied(std::size_t way)
     {
-        std::atomic_ref<std::uint64_t>(occupied_[way >> 6])
-            .fetch_or(wayBit(way), std::memory_order_relaxed);
+        occupied_[way >> 6] |= wayBit(way);
     }
 
     /** Reset the way at slab index @p way to the empty state. */
@@ -365,7 +304,7 @@ class BlockCorrelationTable
     mem::BlockId end_ = uvm::kNoBlock;
     std::uint64_t useClock_ = 0;
     /** Set-conflict LRU evictions (see replacements()). */
-    mutable std::atomic<std::uint64_t> replacements_{0};
+    std::uint64_t replacements_ = 0;
     std::uint32_t bestLen_ = 0;     ///< longest committed sequence
     std::uint32_t staleRejects_ = 0;
     std::uint32_t epoch_ = 0;       ///< executions with faults seen

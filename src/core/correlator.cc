@@ -37,27 +37,20 @@ Correlator::onKernelLaunch(ExecId next)
 }
 
 void
-Correlator::onFaultBlocks(const std::vector<mem::BlockId> &blocks,
-                          uvm::FaultShardPool *pool)
+Correlator::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
 {
     if (current_ == kNoExecId)
         return; // faults before any kernel launch: nothing to learn
     BlockCorrelationTable &bt = blockTables_.getOrCreate(current_);
-    // Collect the batch's (prev -> next) adjacencies first — the
-    // same pairs the former inline record() loop produced — then let
-    // the table apply them, sharded when a pool is attached.
-    pairScratch_.clear();
     for (mem::BlockId b : blocks) {
         if (firstFault_ == uvm::kNoBlock) {
             firstFault_ = b;
         } else if (lastFault_ != uvm::kNoBlock && lastFault_ != b) {
-            support::pushAmortized(pairScratch_,
-                                   RecordPair{lastFault_, b});
+            bt.record(lastFault_, b);
         }
         lastFault_ = b;
         ++faultCount_;
     }
-    bt.recordBatch(pairScratch_.data(), pairScratch_.size(), pool);
 }
 
 void

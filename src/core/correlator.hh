@@ -20,10 +20,6 @@
 #include "mem/addr.hh"
 #include "uvm/block_info.hh"
 
-namespace deepum::uvm {
-class FaultShardPool;
-}
-
 namespace deepum::core {
 
 /** Updates correlation tables from the launch + fault streams. */
@@ -35,14 +31,8 @@ class Correlator
     /** The runtime announced the next kernel's execution ID. */
     void onKernelLaunch(ExecId next);
 
-    /**
-     * A preprocessed fault batch arrived (blocks in fault order).
-     * With a non-null @p pool the (prev -> next) records are applied
-     * sharded across the service threads (recordBatch); the result
-     * is byte-identical to the serial path at any shard count.
-     */
-    void onFaultBlocks(const std::vector<mem::BlockId> &blocks,
-                       uvm::FaultShardPool *pool = nullptr);
+    /** A preprocessed fault batch arrived (blocks in fault order). */
+    void onFaultBlocks(const std::vector<mem::BlockId> &blocks);
 
     /**
      * Blocks [@p first, @p end) were freed: drop the in-progress
@@ -76,9 +66,6 @@ class Correlator
     mem::BlockId lastFault_ = uvm::kNoBlock;
     std::uint32_t faultCount_ = 0;
     bool hysteresis_ = true;
-
-    /** Reused per-batch (prev -> next) pair list for recordBatch. */
-    std::vector<RecordPair> pairScratch_;
 };
 
 } // namespace deepum::core

@@ -62,9 +62,8 @@ void
 DeepUm::onFaultBatch(const std::vector<mem::BlockId> &blocks)
 {
     // The correlator must run first so the prefetcher chains over
-    // up-to-date tables. It borrows the driver's shard pool so
-    // --service-threads also parallelizes the record step.
-    correlator_.onFaultBlocks(blocks, drv_.shardPool());
+    // up-to-date tables.
+    correlator_.onFaultBlocks(blocks);
     prefetcher_.onFaultBlocks(blocks);
 }
 

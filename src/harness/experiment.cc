@@ -107,7 +107,6 @@ runExperiment(const torch::Tape &tape, SystemKind kind,
 
     gpu::GpuEngine engine(eq, cfg.timing, fb, stats);
     uvm::Driver driver(eq, cfg.timing, fb, link, frames, stats);
-    driver.setServiceThreads(cfg.serviceThreads);
     engine.setBackend(&driver);
     driver.setEngine(&engine);
 

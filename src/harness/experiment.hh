@@ -83,14 +83,8 @@ struct ExperimentConfig {
     /** Ticks between time-series samples. */
     sim::Tick timeseriesInterval = 100'000;
 
-    /**
-     * Host threads sharding the driver's fault-batch servicing
-     * (`--service-threads`; clamped to uvm::FaultShardPool::
-     * kMaxShards). Stats are byte-identical at every value — the
-     * knob only changes host wall-clock, so the default of 1 keeps
-     * golden runs thread-free.
-     */
-    unsigned serviceThreads = 1;
+    /** Not settable; kept for perfbench/src/traced_stack.cc. */
+    static constexpr unsigned serviceThreads = 1;
 };
 
 /** Reduced view of one Distribution stat at end of run. */

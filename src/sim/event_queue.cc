@@ -9,137 +9,24 @@
 namespace deepum::sim {
 
 void
-EventQueue::markOccupied(std::size_t slot)
-{
-    occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
-}
-
-void
-EventQueue::markEmpty(std::size_t slot)
-{
-    occupied_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
-}
-
-std::size_t
-EventQueue::nextOccupiedDistance() const
-{
-    const std::size_t s = slotOf(winStart_);
-    const std::size_t word = s >> 6;
-    const std::size_t bit = s & 63;
-
-    std::uint64_t w = occupied_[word] >> bit;
-    if (w != 0)
-        return static_cast<std::size_t>(__builtin_ctzll(w));
-
-    std::size_t dist = 64 - bit;
-    for (std::size_t i = 1; i < kWords; ++i) {
-        w = occupied_[(word + i) & (kWords - 1)];
-        if (w != 0)
-            return dist + static_cast<std::size_t>(__builtin_ctzll(w));
-        dist += 64;
-    }
-    // Wrap back into the low bits of the starting word.
-    if (bit != 0) {
-        w = occupied_[word] & ((std::uint64_t(1) << bit) - 1);
-        if (w != 0)
-            return dist + static_cast<std::size_t>(__builtin_ctzll(w));
-    }
-    panic("event ring bitmap empty with %zu events pending",
-          nearCount_);
-}
-
-void
-EventQueue::insertNear(Entry &&e)
-{
-    const std::uint64_t bn = bucketNum(e.when);
-    const std::size_t slot = slotOf(bn);
-    std::vector<Entry> &v = buckets_[slot];
-    if (bn == winStart_ && curSorted_) {
-        // The bucket being drained is kept sorted (descending, so
-        // back() is the minimum); keep new arrivals in order.
-        auto pos = std::lower_bound(v.begin(), v.end(), e, later);
-        v.insert(pos, std::move(e));
-    } else {
-        v.push_back(std::move(e));
-    }
-    if (v.size() == 1)
-        markOccupied(slot);
-    ++nearCount_;
-}
-
-void
 EventQueue::schedule(Tick when, EventFn fn)
 {
     if (when < curTick_)
         panic("scheduling event in the past: tick %llu < now %llu",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
-    const std::uint64_t bn = bucketNum(when);
-    if (bn >= winStart_ + kBuckets) {
-        ++overflowScheduled_;
-        overflow_.push_back(Entry{when, nextSeq_++, std::move(fn)});
-        std::push_heap(overflow_.begin(), overflow_.end(), later);
-        return;
-    }
-    ++nearScheduled_;
-    const std::size_t slot = slotOf(bn);
-    std::vector<Entry> &v = buckets_[slot];
-    if (bn == winStart_ && curSorted_ && !v.empty()) {
-        insertNear(Entry{when, nextSeq_++, std::move(fn)});
-        return;
-    }
-    // Hot path: construct the entry directly in the bucket.
-    v.emplace_back(when, nextSeq_++, std::move(fn));
-    if (v.size() == 1)
-        markOccupied(slot);
-    ++nearCount_;
-}
-
-void
-EventQueue::migrateOverflow()
-{
-    while (!overflow_.empty() &&
-           bucketNum(overflow_.front().when) < winStart_ + kBuckets) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), later);
-        insertNear(std::move(overflow_.back()));
-        overflow_.pop_back();
-    }
+    heap_.emplace_back(when, nextSeq_++, std::move(fn));
+    std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 bool
 EventQueue::step()
 {
-    if (nearCount_ == 0) {
-        if (overflow_.empty())
-            return false;
-        // Ring drained: jump the window to the earliest far-future
-        // event and pull everything newly in range out of overflow.
-        winStart_ = bucketNum(overflow_.front().when);
-        curSorted_ = false;
-        migrateOverflow();
-    } else if (std::size_t d = nextOccupiedDistance(); d != 0) {
-        // Advance to the next non-empty bucket; the horizon moved,
-        // so overflow events may have come into range.
-        winStart_ += d;
-        curSorted_ = false;
-        migrateOverflow();
-    }
-
-    const std::size_t slot = slotOf(winStart_);
-    std::vector<Entry> &v = buckets_[slot];
-    if (!curSorted_) {
-        if (v.size() > 1)
-            std::sort(v.begin(), v.end(), later);
-        curSorted_ = true;
-    }
-
-    Entry e = std::move(v.back());
-    v.pop_back();
-    if (v.empty()) {
-        markEmpty(slot);
-        curSorted_ = false;
-    }
-    --nearCount_;
+    if (heap_.empty())
+        return false;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
 
 #ifdef DEEPUM_VALIDATE
     DEEPUM_ASSERT(e.when >= curTick_,
@@ -166,65 +53,22 @@ EventQueue::run(std::uint64_t limit)
 void
 EventQueue::checkInvariants(CheckContext &ctx) const
 {
-    std::size_t counted = 0;
-    for (std::size_t slot = 0; slot < kBuckets; ++slot) {
-        const std::vector<Entry> &v = buckets_[slot];
-        counted += v.size();
-        const bool bit =
-            (occupied_[slot >> 6] >> (slot & 63)) & std::uint64_t(1);
-        ctx.require(bit == !v.empty(),
-                    "occupancy bit for slot %zu says %d but bucket "
-                    "holds %zu events",
-                    slot, int(bit), v.size());
-        for (const Entry &e : v) {
-            ctx.require(e.when >= curTick_,
-                        "pending near event at tick %llu predates "
-                        "now %llu",
-                        static_cast<unsigned long long>(e.when),
-                        static_cast<unsigned long long>(curTick_));
-            ctx.require(e.seq < nextSeq_,
-                        "event seq %llu >= next seq %llu",
-                        static_cast<unsigned long long>(e.seq),
-                        static_cast<unsigned long long>(nextSeq_));
-            const std::uint64_t bn = bucketNum(e.when);
-            ctx.require(slotOf(bn) == slot,
-                        "event for bucket %llu stored in slot %zu",
-                        static_cast<unsigned long long>(bn), slot);
-            ctx.require(bn >= winStart_ && bn < winStart_ + kBuckets,
-                        "near event bucket %llu outside window "
-                        "[%llu, %llu)",
-                        static_cast<unsigned long long>(bn),
-                        static_cast<unsigned long long>(winStart_),
-                        static_cast<unsigned long long>(winStart_ +
-                                                        kBuckets));
-        }
-    }
-    ctx.require(counted == nearCount_,
-                "nearCount_ %zu != %zu events actually in the ring",
-                nearCount_, counted);
-
-    if (curSorted_) {
-        const std::vector<Entry> &v = buckets_[slotOf(winStart_)];
-        for (std::size_t i = 1; i < v.size(); ++i)
-            ctx.require(!later(v[i], v[i - 1]),
-                        "current bucket not sorted descending at "
-                        "index %zu",
-                        i);
-    }
-
-    for (std::size_t i = 0; i < overflow_.size(); ++i) {
-        const Entry &e = overflow_[i];
+    for (std::size_t i = 0; i < heap_.size(); ++i) {
+        const Entry &e = heap_[i];
         ctx.require(e.when >= curTick_,
-                    "overflow event at tick %llu predates now %llu",
+                    "pending event at tick %llu predates now %llu",
                     static_cast<unsigned long long>(e.when),
                     static_cast<unsigned long long>(curTick_));
+        ctx.require(e.seq < nextSeq_,
+                    "event seq %llu >= next seq %llu",
+                    static_cast<unsigned long long>(e.seq),
+                    static_cast<unsigned long long>(nextSeq_));
         if (i > 0) {
             // Min-heap via later(): a parent never fires after its
             // child.
-            const Entry &parent = overflow_[(i - 1) / 2];
+            const Entry &parent = heap_[(i - 1) / 2];
             ctx.require(!later(parent, e),
-                        "overflow heap property broken at index %zu",
-                        i);
+                        "event heap property broken at index %zu", i);
         }
     }
 }
@@ -233,21 +77,11 @@ void
 EventQueue::dumpState(std::ostream &os) const
 {
     os << "EventQueue{now=" << curTick_ << " nextSeq=" << nextSeq_
-       << " executed=" << executed_ << " nearCount=" << nearCount_
-       << " overflow=" << overflow_.size() << " winStart=" << winStart_
-       << " curSorted=" << curSorted_ << "}\n";
-    for (std::size_t slot = 0; slot < kBuckets; ++slot) {
-        const std::vector<Entry> &v = buckets_[slot];
-        if (v.empty())
-            continue;
-        os << "  slot " << slot << " (" << v.size() << " events):";
-        for (const Entry &e : v)
-            os << " (t=" << e.when << ",s=" << e.seq << ")";
-        os << "\n";
-    }
-    if (!overflow_.empty()) {
-        os << "  overflow:";
-        for (const Entry &e : overflow_)
+       << " executed=" << executed_ << " pending=" << heap_.size()
+       << "}\n";
+    if (!heap_.empty()) {
+        os << "  heap:";
+        for (const Entry &e : heap_)
             os << " (t=" << e.when << ",s=" << e.seq << ")";
         os << "\n";
     }
@@ -256,18 +90,10 @@ EventQueue::dumpState(std::ostream &os) const
 void
 EventQueue::clear()
 {
-    for (std::vector<Entry> &v : buckets_)
-        v.clear();
-    occupied_.fill(0);
-    overflow_.clear();
-    nearCount_ = 0;
-    curSorted_ = false;
-    winStart_ = 0;
+    heap_.clear();
     curTick_ = 0;
     nextSeq_ = 0;
     executed_ = 0;
-    nearScheduled_ = 0;
-    overflowScheduled_ = 0;
 }
 
 } // namespace deepum::sim

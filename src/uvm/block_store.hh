@@ -53,11 +53,7 @@ class BlockStore
 
     // --- lookup (the fault-path hot probe) --------------------------
 
-    /**
-     * Slab index of @p b, or kNoBlockIndex when unregistered. A pure
-     * array read, so concurrent probes (FaultShardPool) need no
-     * synchronization.
-     */
+    /** Slab index of @p b, or kNoBlockIndex when unregistered. */
     DEEPUM_NOALLOC BlockIndex
     find(mem::BlockId b) const
     {

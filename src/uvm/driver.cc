@@ -308,16 +308,23 @@ Driver::handleFaults()
     // Step 2 of Figure 3: dedupe entries and group them by UM block,
     // preserving first-fault order. The dedupe is an epoch-stamped
     // array keyed by slab index — bumping the epoch is the O(1)
-    // "clear" between batches. With --service-threads > 1 the pool
-    // shards the probes and stamps across workers and merges back
-    // into the same canonical order (fault_shards.hh).
+    // "clear" between batches.
     if (faultSeen_.size() < store_.slabSize())
         faultSeen_.resize(store_.slabSize(), 0);
     ++faultEpoch_;
     std::vector<mem::BlockId> ordered;
     std::uint64_t pages = 0;
-    shardPool_.preprocess(entries, store_, faultSeen_, faultEpoch_,
-                          ordered, pages);
+    for (const auto &e : entries) {
+        pages += e.pages;
+        BlockIndex i = store_.find(e.block);
+        if (i == kNoBlockIndex)
+            sim::panic("fault on unregistered block %llu",
+                       static_cast<unsigned long long>(e.block));
+        if (faultSeen_[i] != faultEpoch_) {
+            faultSeen_[i] = faultEpoch_;
+            ordered.push_back(e.block);
+        }
+    }
     pageFaults_ += pages;
     faultedBlocks_ += ordered.size();
     faultBatchSize_.sample(ordered.size());
@@ -740,10 +747,6 @@ Driver::checkInvariants(sim::CheckContext &ctx) const
                     "from the prefetch queue",
                     static_cast<unsigned long long>(b));
     });
-
-    // The shard pool must be quiescent between batches: every
-    // per-shard list merged and every borrowed scratch returned.
-    shardPool_.checkInvariants(ctx);
 }
 
 void
@@ -759,7 +762,6 @@ Driver::dumpState(std::ostream &os) const
        << " free=" << frames_.freePages()
        << " total=" << frames_.totalPages() << "\n";
     store_.dumpState(os);
-    shardPool_.dumpState(os);
 
     // forEachBlock iterates the sorted run table: BlockId order.
     store_.forEachBlock([&](mem::BlockId b, BlockIndex i) {

@@ -36,13 +36,13 @@
 #include "gpu/pcie_link.hh"
 #include "gpu/timing.hh"
 #include "mem/frame_pool.hh"
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/spsc_queue.hh"
 #include "sim/stats.hh"
 #include "uvm/block_info.hh"
 #include "uvm/block_store.hh"
 #include "uvm/eviction_policy.hh"
-#include "uvm/fault_shards.hh"
 #include "uvm/listener.hh"
 
 namespace deepum::sim {
@@ -82,20 +82,12 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     /** Enable/disable the inactive-PT-block invalidation path. */
     void setInvalidationEnabled(bool on) { invalidationEnabled_ = on; }
 
-    /**
-     * Service fault batches on @p n shards (`--service-threads`;
-     * clamped to [1, FaultShardPool::kMaxShards]). 1 — the default —
-     * is the serial path with no worker threads. Stats are
-     * byte-identical at every value; only host wall-clock changes.
-     */
-    void setServiceThreads(unsigned n) { shardPool_.setShards(n); }
-
-    /**
-     * The fault-service shard pool. Core-side sharded paths
-     * (correlation recordBatch, fresh-tag scans) borrow it so one
-     * worker team covers the whole fault path.
-     */
-    FaultShardPool *shardPool() { return &shardPool_; }
+    /** Accepts only 1; kept for perfbench/src/traced_stack.cc. */
+    void
+    setServiceThreads(unsigned n)
+    {
+        DEEPUM_ASSERT(n == 1, "fault batches are serviced on one thread");
+    }
 
     /**
      * Attach (or detach with nullptr) the provenance ledger. Like
@@ -274,9 +266,6 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
      */
     std::vector<std::uint64_t> faultSeen_;
     std::uint64_t faultEpoch_ = 0;
-
-    /** Worker team + per-shard scratch for fault-batch servicing. */
-    FaultShardPool shardPool_;
 
     // Statistics (paper Table 5, Figure 10 inputs).
     sim::Scalar pageFaults_;

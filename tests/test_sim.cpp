@@ -161,11 +161,10 @@ TEST(EventQueue, ClearResetsClockAndSequence)
     EXPECT_EQ(n, 1);
 }
 
-TEST(EventQueue, FarFutureEventsCrossTheRingHorizon)
+TEST(EventQueue, FarFutureEventsFireInOrder)
 {
-    // The ring covers 1024 buckets x 256 ticks = 262144 ticks; both
-    // delays beyond it and window jumps over empty stretches must
-    // still fire in (tick, seq) order.
+    // Far-apart ticks scheduled out of order, with long empty
+    // stretches between them, still fire in (tick, seq) order.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(3'000'000, [&] { order.push_back(3); });
@@ -177,11 +176,26 @@ TEST(EventQueue, FarFutureEventsCrossTheRingHorizon)
     EXPECT_EQ(eq.now(), 3'000'000u);
 }
 
+TEST(EventQueue, ScheduleCountersForPerfbench)
+{
+    // perfbench reads nearScheduled() as the schedule count and
+    // overflowScheduled() as a far-future share that is always 0.
+    EventQueue eq;
+    eq.schedule(0, [] {});
+    eq.schedule(3'000'000, [] {});
+    eq.schedule(100, [&eq] { eq.scheduleIn(5'000'000, [] {}); });
+    eq.run();
+    EXPECT_EQ(eq.nearScheduled(), 4u);
+    EXPECT_EQ(eq.overflowScheduled(), 0u);
+    eq.clear();
+    EXPECT_EQ(eq.nearScheduled(), 0u);
+}
+
 namespace property {
 
 /**
- * The pre-rewrite binary-heap event queue, kept verbatim as the
- * ordering reference for the property test below.
+ * The seed's std::function binary-heap event queue, kept verbatim as
+ * the ordering reference for the property test below.
  */
 class RefQueue
 {
@@ -232,9 +246,8 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnRandomPatterns)
 {
     // Random self-expanding schedules: event k fires, logs itself,
     // and schedules its precomputed children. Delay classes cover
-    // zero-delay (sorted insert into the draining bucket), in-ring,
-    // and far-overflow ticks. The calendar queue must produce the
-    // exact firing sequence of the reference heap.
+    // zero, short, medium and far-future delays. EventQueue must
+    // produce the exact firing sequence of the reference heap.
     constexpr int kTotal = 5000;
     constexpr int kRoots = 32;
 
