@@ -45,22 +45,6 @@ struct DeepUmConfig {
      */
     std::uint64_t preevictWatermarkPages = 0;
 
-    /** Safety cap on blocks enqueued per chaining activation. */
-    std::uint32_t chainEnqueueCap = 4096;
-
-    /**
-     * Entries of a kernel's block table are considered live for this
-     * many of its executions after their last record/visit; live
-     * entries are all issued when the chain enters the kernel.
-     */
-    std::uint32_t freshEpochWindow = 4;
-
-    /**
-     * When an exact execution-history match is missing, fall back to
-     * the most recently used record of the entry.
-     */
-    bool execPredictMruFallback = true;
-
     // --- mechanism ablations (DESIGN.md section 6) ------------------
     // Each switch disables one of the engineering decisions taken
     // where the paper under-specifies the mechanism, so their

@@ -7,6 +7,48 @@
 
 namespace deepum::core {
 
+namespace {
+
+/// Safety cap on blocks enqueued per chaining activation.
+constexpr std::uint32_t kChainEnqueueCap = 4096;
+
+/// Entries of a kernel's block table stay live for this many of its
+/// executions after their last record/visit; live entries are all
+/// issued when the chain enters the kernel.
+constexpr std::uint32_t kFreshEpochWindow = 4;
+
+} // namespace
+
+void
+PredictionWindow::checkInvariants(sim::CheckContext &ctx) const
+{
+    ctx.require(count_ <= execs_.size(),
+                "prediction window holds %zu slots in a %zu-slot ring",
+                count_, execs_.size());
+    std::uint64_t back = retired_ + count_;
+    for (std::size_t i = 0; i < stamp_.size(); ++i) {
+        if (stamp_[i] <= back)
+            continue;
+        ctx.fail("block slot %zu stamped by window slot %llu, beyond "
+                 "the back slot %llu",
+                 i, static_cast<unsigned long long>(stamp_[i]),
+                 static_cast<unsigned long long>(back));
+    }
+}
+
+void
+PredictionWindow::dumpState(std::ostream &os) const
+{
+    os << "  window: retired=" << retired_ << " slots=[";
+    for (std::size_t k = 0; k < count_; ++k)
+        os << (k != 0 ? " " : "") << exec(k);
+    os << "]\n  protected (block slot@window slot):";
+    for (std::size_t i = 0; i < stamp_.size(); ++i)
+        if (stamp_[i] > retired_)
+            os << " " << i << "@" << stamp_[i] - retired_ - 1;
+    os << "\n";
+}
+
 Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
                        BlockCorrelationTableSet &blocks,
                        Correlator &correlator, const DeepUmConfig &cfg,
@@ -18,7 +60,7 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
       cfg_(cfg),
       // The window never exceeds lookaheadN + 2 slots (the audited
       // bound below), so the ring is sized once and never grows.
-      slotBuf_(std::size_t(cfg.lookaheadN) + 2),
+      window_(std::size_t(cfg.lookaheadN) + 2),
       chainsStarted_(stats, "prefetcher.chainsStarted",
                      "chain (re)starts triggered by fault batches"),
       chainTransitions_(stats, "prefetcher.chainTransitions",
@@ -47,50 +89,19 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
 }
 
 void
-Prefetcher::pushSlot(ExecId exec)
-{
-    DEEPUM_ASSERT(slotCount_ < slotBuf_.size(),
-                  "prediction window overflows its ring");
-    Slot &s = slotAt(slotCount_);
-    s.exec = exec;
-    s.blocks.clear(); // recycled slot: keep the list's capacity
-    ++slotCount_;
-}
-
-void
-Prefetcher::dropProt(uvm::BlockIndex i)
-{
-    DEEPUM_ASSERT(i < protCount_.size() && protCount_[i] > 0,
-                  "protection refcount out of sync");
-    if (--protCount_[i] == 0)
-        --protectedDistinct_;
-}
-
-void
 Prefetcher::protect(std::size_t slot, mem::BlockId b)
 {
     uvm::BlockIndex i = drv_.store().find(b);
-    support::pushAmortized(slotAt(slot).blocks, ProtEntry{b, i});
     if (i == uvm::kNoBlockIndex)
-        return; // unknown block: nothing to refcount
+        return; // unknown block: nothing to protect
     growScratch();
-    if (protCount_[i]++ == 0)
-        ++protectedDistinct_;
+    window_.protect(slot, i);
 }
 
 void
 Prefetcher::popFrontSlot()
 {
-    DEEPUM_ASSERT(slotCount_ > 0, "popping an empty window");
-    Slot &front = slotAt(0);
-    for (const ProtEntry &e : front.blocks) {
-        if (e.idx != uvm::kNoBlockIndex)
-            dropProt(e.idx);
-    }
-    front.exec = kNoExecId;
-    front.blocks.clear();
-    slotHead_ = (slotHead_ + 1) % slotBuf_.size();
-    --slotCount_;
+    window_.popFront();
     if (chainDepth_ == 0) {
         // The chain was still working on the kernel that just ended.
         active_ = false;
@@ -105,10 +116,7 @@ Prefetcher::popFrontSlot()
 void
 Prefetcher::clearAllSlots()
 {
-    while (slotCount_ > 0)
-        popFrontSlot();
-    DEEPUM_ASSERT(protectedDistinct_ == 0,
-                  "protected set nonempty after clearing slots");
+    window_.clear();
     active_ = false;
     paused_ = false;
     chainDepth_ = 0;
@@ -119,26 +127,15 @@ Prefetcher::clearAllSlots()
 void
 Prefetcher::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
 {
-    // Scrub by the recorded protect-time index: the driver has
-    // already dropped the run, so the ids no longer resolve, but the
-    // slots are not reusable until a later registration — which
-    // cannot happen before this hook returns.
-    for (std::size_t i = 0; i < slotCount_; ++i) {
-        for (ProtEntry &e : slotAt(i).blocks) {
-            if (e.block >= first && e.block < end &&
-                e.idx != uvm::kNoBlockIndex) {
-                dropProt(e.idx);
-                e.idx = uvm::kNoBlockIndex;
-            }
-        }
-    }
+    for (mem::BlockId b = first; b != end; ++b)
+        window_.unprotect(drv_.store().slotOf(b));
 }
 
 void
 Prefetcher::issue(std::size_t slot, mem::BlockId b)
 {
     protect(slot, b);
-    drv_.enqueuePrefetch(b, slotAt(slot).exec,
+    drv_.enqueuePrefetch(b, window_.exec(slot),
                          static_cast<std::uint32_t>(slot));
     ++blocksIssued_;
     if (budget_ > 0)
@@ -152,7 +149,7 @@ Prefetcher::onPrefetchCompleted(mem::BlockId block, ExecId exec_id,
     (void)block;
     if (exec_id == kNoExecId)
         return;
-    if (slotCount_ != 0 && slotAt(0).exec == exec_id) {
+    if (window_.size() != 0 && window_.exec(0) == exec_id) {
         // The consuming kernel is already running: the prefetch
         // arrived late and saved nothing of its lead time.
         ++lateCompletions_;
@@ -176,18 +173,18 @@ Prefetcher::onKernelLaunch(ExecId id)
         --pendingExecs_;
     }
 
-    if (slotCount_ == 0) {
-        pushSlot(id);
+    if (window_.size() == 0) {
+        window_.push(id);
         return;
     }
-    if (slotCount_ >= 2 && slotAt(1).exec == id) {
+    if (window_.size() >= 2 && window_.exec(1) == id) {
         // Predicted correctly: slide the window.
         popFrontSlot();
     } else {
-        if (slotCount_ >= 2)
+        if (window_.size() >= 2)
             ++mispredictedLaunches_;
         clearAllSlots();
-        pushSlot(id);
+        window_.push(id);
     }
 }
 
@@ -209,13 +206,13 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
     predCur_ = cur;
     predHist_ = correlator_.history();
     chainDepth_ = 0;
-    budget_ = cfg_.chainEnqueueCap;
+    budget_ = kChainEnqueueCap;
     ++chainsStarted_;
     traceChainStart(cur, blocks.size());
 
-    if (slotCount_ == 0)
-        pushSlot(cur);
-    slotAt(0).exec = cur;
+    if (window_.size() == 0)
+        window_.push(cur);
+    window_.exec(0) = cur;
 
     clearWalk();
     ++seenGen_;
@@ -236,13 +233,13 @@ Prefetcher::enterKernelTable(std::size_t slot)
 {
     if (!cfg_.freshTagChaining)
         return; // ablation: start-component chaining only
-    BlockCorrelationTable *bt = blockTables_.find(slotAt(slot).exec);
+    BlockCorrelationTable *bt = blockTables_.find(window_.exec(slot));
     if (bt == nullptr)
         return;
     // Issue every live entry of the kernel's table, not only the
     // start component: blocks covered by prefetching stop faulting
     // and would otherwise fall out of the chain (see freshTags()).
-    bt->freshTags(cfg_.freshEpochWindow, freshScratch_);
+    bt->freshTags(kFreshEpochWindow, freshScratch_);
     for (mem::BlockId t : freshScratch_) {
         if (!markSeen(t))
             continue;
@@ -315,7 +312,7 @@ Prefetcher::runChain()
         // when prefetching keeps it from ever faulting again.
         bt->refresh(p);
         // The view aliases the table's successor slab. issue() only
-        // pushes into the driver's queue and the protection lists —
+        // pushes into the driver's queue and the protection stamps —
         // it never touches the block tables — so iterating the slab
         // in place is safe; no defensive copy.
         SuccView succs = bt->successors(p);
@@ -349,8 +346,8 @@ Prefetcher::transitionChain()
             active_ = false;
             return false;
         }
-        ExecId next = execTable_.predict(predCur_, predHist_,
-                                         cfg_.execPredictMruFallback);
+        ExecId next =
+            execTable_.predict(predCur_, predHist_, /*mru_fallback=*/true);
         if (next == kNoExecId) {
             active_ = false;
             ++chainDeadNoPrediction_;
@@ -360,9 +357,9 @@ Prefetcher::transitionChain()
         predCur_ = next;
         ++chainDepth_;
         tracePredictNext(next);
-        while (slotCount_ <= chainDepth_)
-            pushSlot(kNoExecId);
-        slotAt(chainDepth_).exec = next;
+        while (window_.size() <= chainDepth_)
+            window_.push(kNoExecId);
+        window_.exec(chainDepth_) = next;
 
         const BlockCorrelationTable *bt = blockTables_.find(predCur_);
         if (bt == nullptr || bt->start() == uvm::kNoBlock) {
@@ -405,58 +402,21 @@ Prefetcher::transitionChain()
 void
 Prefetcher::checkInvariants(sim::CheckContext &ctx) const
 {
-    // Rebuild the refcounts from the slot lists; they must agree
-    // with the dense protection array exactly.
-    std::vector<std::uint32_t> expected(protCount_.size(), 0);
-    std::size_t expected_distinct = 0;
-    for (std::size_t w = 0; w < slotCount_; ++w) {
-        const Slot &s = slotAt(w);
-        for (const ProtEntry &e : s.blocks) {
-            if (e.idx == uvm::kNoBlockIndex)
-                continue;
-            ctx.require(e.idx < expected.size(),
-                        "slot entry for block %llu names slab index "
-                        "%u beyond the %zu-entry refcount array",
-                        static_cast<unsigned long long>(e.block),
-                        e.idx, expected.size());
-            if (e.idx >= expected.size())
-                continue;
-            ctx.require(e.idx < drv_.store().slabSize() &&
-                            drv_.store().idAt(e.idx) == e.block,
-                        "slot entry for block %llu holds stale slab "
-                        "index %u",
-                        static_cast<unsigned long long>(e.block),
-                        e.idx);
-            if (expected[e.idx]++ == 0)
-                ++expected_distinct;
-        }
-    }
-    ctx.require(expected_distinct == protectedDistinct_,
-                "protection array holds %zu blocks, slots reference "
-                "%zu",
-                protectedDistinct_, expected_distinct);
-    for (std::size_t i = 0; i < protCount_.size(); ++i) {
-        if (protCount_[i] == expected[i])
+    window_.checkInvariants(ctx);
+    // A range free scrubs its blocks' stamps, so protection rests on
+    // registered blocks only.
+    const uvm::BlockStore &st = drv_.store();
+    for (uvm::BlockIndex i = 0; i < st.slabSize(); ++i) {
+        if (!window_.isProtected(i) || st.find(st.idAt(i)) == i)
             continue;
-        ctx.fail("slab slot %zu refcount %u disagrees with slot "
-                 "lists (%u)",
-                 i, protCount_[i], expected[i]);
+        ctx.fail("protected slab slot %u backs no registered block", i);
     }
-    ctx.require(slotCount_ <= std::size_t(cfg_.lookaheadN) + 2,
-                "prediction window holds %zu slots, lookahead is %u",
-                slotCount_, cfg_.lookaheadN);
-    ctx.require(slotBuf_.size() == std::size_t(cfg_.lookaheadN) + 2,
-                "slot ring holds %zu slots, expected %zu",
-                slotBuf_.size(), std::size_t(cfg_.lookaheadN) + 2);
-    // Recycled (logically dead) ring slots must be fully drained, or
-    // popFrontSlot leaked protection references.
-    for (std::size_t i = slotCount_; i < slotBuf_.size(); ++i)
-        ctx.require(slotAt(i).blocks.empty(),
-                    "dead ring slot %zu still lists %zu blocks", i,
-                    slotAt(i).blocks.size());
-    ctx.require(chainDepth_ == 0 || chainDepth_ < slotCount_,
+    ctx.require(window_.capacity() == std::size_t(cfg_.lookaheadN) + 2,
+                "window ring holds %zu slots, expected %zu",
+                window_.capacity(), std::size_t(cfg_.lookaheadN) + 2);
+    ctx.require(chainDepth_ == 0 || chainDepth_ < window_.size(),
                 "chain cursor %u outside the %zu-slot window",
-                chainDepth_, slotCount_);
+                chainDepth_, window_.size());
     ctx.require(walkHead_ <= walk_.size(),
                 "walk cursor %zu beyond the %zu-entry queue",
                 walkHead_, walk_.size());
@@ -475,27 +435,9 @@ Prefetcher::dumpState(std::ostream &os) const
 {
     os << "Prefetcher{active=" << active_ << " paused=" << paused_
        << " chainDepth=" << chainDepth_ << " predCur=" << predCur_
-       << " budget=" << budget_ << " slots=" << slotCount_
-       << " protected=" << protectedDistinct_
+       << " budget=" << budget_ << " slots=" << window_.size()
        << " walk=" << walk_.size() - walkHead_ << "}\n";
-    for (std::size_t i = 0; i < slotCount_; ++i) {
-        const Slot &s = slotAt(i);
-        os << "  slot " << i << ": exec=" << s.exec << " blocks=[";
-        for (std::size_t j = 0; j < s.blocks.size(); ++j)
-            os << (j != 0 ? " " : "") << s.blocks[j].block;
-        os << "]\n";
-    }
-    os << "  protected:";
-    // Slab-index order: deterministic, and the ids are live (slots
-    // with a refcount always back a registered block).
-    for (std::size_t i = 0; i < protCount_.size(); ++i) {
-        if (protCount_[i] != 0)
-            os << " "
-               << drv_.store().idAt(
-                      static_cast<uvm::BlockIndex>(i))
-               << "x" << protCount_[i];
-    }
-    os << "\n";
+    window_.dumpState(os);
 }
 
 } // namespace deepum::core

@@ -14,23 +14,23 @@
  *
  * The prefetcher also maintains the *protected set* — blocks
  * predicted to be used by the current and next N kernels — which the
- * DeepUM eviction policy consults (Section 5.1). Both the walk
- * dedupe and the protection refcounts are dense arrays keyed by the
- * driver's BlockStore slab indices: the dedupe is epoch-stamped (a
- * generation bump is the O(1) per-activation clear) and the refcount
- * probe the eviction policy hits per LRU step is one array read.
+ * DeepUM eviction policy consults (Section 5.1). The walk dedupe and
+ * the protection stamps are dense arrays keyed by the driver's
+ * BlockStore slots: the dedupe is epoch-stamped (a generation bump is
+ * the O(1) per-activation clear), and the protection probe the
+ * eviction policy hits per LRU step is one array read and a compare.
  *
  * The steady-state chain walk is allocation-free: the prediction
- * window is a fixed ring of slots whose protection lists keep their
- * capacity across reuse, the walk queue is a reused vector consumed
- * by index, successors() is a view into the table's inline slab, the
- * fresh-tag sweep fills a reused scratch vector, and the pending
- * completion ticks live in an ExecId-indexed dense table whose
- * per-exec vectors are drained with clear() (capacity retained).
- * That contract is machine-checked: the fault/chain entry points are
- * DEEPUM_NOALLOC and tools/analyzer/ proves their call graphs reach
- * allocation only through the documented DEEPUM_ALLOC_OK hatches
- * (scratch/table growth, amortized vector growth, opt-in tracing).
+ * window is a fixed ring of exec IDs plus one stamp per block, the
+ * walk queue is a reused vector consumed by index, successors() is a
+ * view into the table's inline slab, the fresh-tag sweep fills a
+ * reused scratch vector, and the pending completion ticks live in an
+ * ExecId-indexed dense table whose per-exec vectors are drained with
+ * clear() (capacity retained). That contract is machine-checked: the
+ * fault/chain entry points are DEEPUM_NOALLOC and tools/analyzer/
+ * proves their call graphs reach allocation only through the
+ * documented DEEPUM_ALLOC_OK hatches (scratch growth, amortized
+ * vector growth, opt-in tracing).
  */
 
 #pragma once
@@ -43,11 +43,127 @@
 #include "core/config.hh"
 #include "core/correlator.hh"
 #include "core/exec_correlation_table.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "support/annotations.hh"
 #include "uvm/driver.hh"
 
 namespace deepum::core {
+
+/**
+ * The prediction window and the protected set it defines: live slot
+ * 0 is the running kernel, slot k the kernel predicted k launches
+ * ahead, and a block is protected while any live slot has issued it.
+ *
+ * Slots carry consecutive sequence numbers, slot k being
+ * retired_ + k + 1, and each block keeps one stamp: the sequence
+ * number of the newest slot that protected it. Slots only ever retire
+ * front first (a correct prediction retires one, a mispredict all of
+ * them), so a block stays protected exactly as long as that newest
+ * slot does, and the test is stamp > retired_. Stamps are keyed by
+ * BlockStore slot; the exec-ID ring holds live slot k at
+ * (retired_ + k) mod capacity.
+ */
+class PredictionWindow
+{
+  public:
+    /** An empty window of at most @p capacity slots. */
+    explicit PredictionWindow(std::size_t capacity)
+        : execs_(capacity, kNoExecId)
+    {}
+
+    /** Live slots. */
+    std::size_t size() const { return count_; }
+
+    /** The most slots the window can hold. */
+    std::size_t capacity() const { return execs_.size(); }
+
+    /** Exec ID of live slot @p k (0 = the running kernel). */
+    DEEPUM_NOALLOC ExecId &
+    exec(std::size_t k)
+    {
+        return execs_[(retired_ + k) % execs_.size()];
+    }
+    DEEPUM_NOALLOC ExecId
+    exec(std::size_t k) const
+    {
+        return execs_[(retired_ + k) % execs_.size()];
+    }
+
+    /** Append a slot for @p exec at the back. */
+    DEEPUM_NOALLOC void
+    push(ExecId exec_id)
+    {
+        DEEPUM_ASSERT(count_ < execs_.size(),
+                      "prediction window overflows its ring");
+        ++count_;
+        exec(count_ - 1) = exec_id;
+    }
+
+    /** Retire the front slot (its kernel launched as predicted). */
+    DEEPUM_NOALLOC void
+    popFront()
+    {
+        DEEPUM_ASSERT(count_ > 0, "popping an empty window");
+        ++retired_;
+        --count_;
+    }
+
+    /** Retire every live slot (a mispredicted launch). */
+    DEEPUM_NOALLOC void
+    clear()
+    {
+        retired_ += count_;
+        count_ = 0;
+    }
+
+    /** Cover block slots [0, @p n) with stamps. */
+    DEEPUM_ALLOC_OK("stamps grow with the slab, not per fault")
+    void
+    growStamps(std::size_t n)
+    {
+        if (stamp_.size() < n)
+            stamp_.resize(n, 0);
+    }
+
+    /** Protect block slot @p i (< the grown size) for live slot @p k. */
+    DEEPUM_NOALLOC void
+    protect(std::size_t k, uvm::BlockIndex i)
+    {
+        DEEPUM_ASSERT(k < count_, "protecting for a dead window slot");
+        std::uint64_t seq = retired_ + k + 1;
+        if (stamp_[i] < seq)
+            stamp_[i] = seq;
+    }
+
+    /** True while a live slot has protected block slot @p i. */
+    DEEPUM_NOALLOC bool
+    isProtected(uvm::BlockIndex i) const
+    {
+        return i < stamp_.size() && stamp_[i] > retired_;
+    }
+
+    /** Forget block slot @p i's protection (its block was freed). */
+    void
+    unprotect(uvm::BlockIndex i)
+    {
+        if (i < stamp_.size())
+            stamp_[i] = 0;
+    }
+
+    /** Audit: the ring holds the live slots, and no stamp lies beyond
+     * the window's back slot. */
+    void checkInvariants(sim::CheckContext &ctx) const;
+
+    /** Stream the live slots and protected block slots. */
+    void dumpState(std::ostream &os) const;
+
+  private:
+    std::vector<ExecId> execs_;        ///< ring of live slots' exec IDs
+    std::uint64_t retired_ = 0;        ///< slots retired so far
+    std::size_t count_ = 0;            ///< live slots
+    std::vector<std::uint64_t> stamp_; ///< per block slot: newest protector
+};
 
 /** Issues prefetch commands by chaining through correlation tables. */
 class Prefetcher
@@ -75,28 +191,18 @@ class Prefetcher
     DEEPUM_NOALLOC void onPrefetchCompleted(mem::BlockId block,
                                             ExecId exec_id, sim::Tick at);
 
-    /**
-     * The driver dropped [first, end): release the protection held
-     * for those blocks and forget their slab indices before the
-     * slots can be reused by a later registration.
-     */
+    /** The driver dropped [first, end): those blocks lose protection. */
     void onRangeUnregistered(mem::BlockId first, mem::BlockId end);
 
     /**
-     * @return true if @p b is predicted to be used by the current or
-     * next N kernels (the pre-eviction protection test).
+     * @return true if the block in slab slot @p i is predicted to be
+     * used by the current or next N kernels (the pre-eviction
+     * protection test).
      */
-    DEEPUM_NOALLOC bool
-    isProtected(mem::BlockId b) const
-    {
-        return isProtectedIndex(drv_.store().find(b));
-    }
-
-    /** isProtected for a block already resolved to its slab slot. */
     DEEPUM_NOALLOC bool
     isProtectedIndex(uvm::BlockIndex i) const
     {
-        return i < protCount_.size() && protCount_[i] != 0;
+        return window_.isProtected(i);
     }
 
     /** Number of kernels the chain has advanced past the current. */
@@ -105,16 +211,12 @@ class Prefetcher
     /** True if a chain is live (possibly paused). */
     bool chainActive() const { return active_; }
 
-    /** Number of distinct blocks currently protected. */
-    std::size_t protectedCount() const { return protectedDistinct_; }
-
     /**
-     * Audit the protection bookkeeping (sim/validate.hh): the
-     * refcount array must equal the multiset union of the slot block
-     * lists, live slot entries must name the slab slot their block
-     * still occupies, the window must respect the lookahead bound,
-     * the chain cursor must point into the window, and the pending
-     * completion table's non-empty counter must match its slots.
+     * Audit the protection bookkeeping (sim/validate.hh): the window
+     * (its ring sized to the lookahead bound, no stamp beyond its
+     * back), protection only on registered blocks, the chain cursor
+     * inside the window, and the pending completion table's non-empty
+     * counter matching its slots.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -122,42 +224,15 @@ class Prefetcher
     void dumpState(std::ostream &os) const;
 
   private:
-    /** One protected block plus its slab slot at protect time. */
-    struct ProtEntry {
-        mem::BlockId block = uvm::kNoBlock;
-        uvm::BlockIndex idx = uvm::kNoBlockIndex;
-    };
-
-    /** One kernel's slot in the prediction window. */
-    struct Slot {
-        ExecId exec = kNoExecId;
-        std::vector<ProtEntry> blocks; ///< protected for this slot
-    };
-
-    /** Window slot @p i (0 = running kernel, then predicted). */
-    Slot &
-    slotAt(std::size_t i)
-    {
-        return slotBuf_[(slotHead_ + i) % slotBuf_.size()];
-    }
-    const Slot &
-    slotAt(std::size_t i) const
-    {
-        return slotBuf_[(slotHead_ + i) % slotBuf_.size()];
-    }
-
-    /** Append a window slot for @p exec (ring reuse, no allocation). */
-    DEEPUM_NOALLOC void pushSlot(ExecId exec);
-
     /** Size the index-keyed scratch arrays to the driver's slab. */
     DEEPUM_ALLOC_OK("scratch arrays grow with the slab, not per fault")
     void
     growScratch()
     {
         std::size_t n = drv_.store().slabSize();
-        if (protCount_.size() < n) {
-            protCount_.resize(n, 0);
+        if (seenEpoch_.size() < n) {
             seenEpoch_.resize(n, 0);
+            window_.growStamps(n);
         }
     }
 
@@ -196,10 +271,7 @@ class Prefetcher
             pendingDone_.resize(std::size_t(exec_id) + 1);
     }
 
-    /** Drop one protection reference on slab slot @p i. */
-    DEEPUM_NOALLOC void dropProt(uvm::BlockIndex i);
-
-    /** Add @p b to @p slot's protection list. */
+    /** Protect @p b for window slot @p slot. */
     DEEPUM_NOALLOC void protect(std::size_t slot, mem::BlockId b);
 
     /** Drop the front slot (its kernel retired or mispredicted). */
@@ -237,20 +309,7 @@ class Prefetcher
     Correlator &correlator_;
     const DeepUmConfig &cfg_;
 
-    /**
-     * The prediction window as a fixed ring: logical slot i lives at
-     * slotBuf_[(slotHead_ + i) % capacity]. Slots are recycled with
-     * their protection-list capacity intact, so the per-kernel
-     * window slide never allocates.
-     */
-    std::vector<Slot> slotBuf_;
-    std::size_t slotHead_ = 0;
-    std::size_t slotCount_ = 0;
-
-    /** Protection refcounts, keyed by slab index. */
-    std::vector<std::uint32_t> protCount_;
-    /** Slots with a nonzero protection refcount. */
-    std::size_t protectedDistinct_ = 0;
+    PredictionWindow window_;
 
     /**
      * Prefetch completion ticks awaiting their predicted launch,

@@ -7,11 +7,10 @@
 
 namespace deepum::mem {
 
-VaSpace::VaSpace(std::uint64_t capacity_bytes, VAddr base)
-    : base_(alignUp(base, kBlockBytes)),
-      capacity_(alignUp(capacity_bytes, kPageSize))
+VaSpace::VaSpace(std::uint64_t capacity_bytes)
+    : capacity_(alignUp(capacity_bytes, kPageSize))
 {
-    free_.emplace(base_, capacity_);
+    free_.emplace(kUmBase, capacity_);
 }
 
 VAddr
@@ -89,10 +88,10 @@ void
 VaSpace::checkInvariants(sim::CheckContext &ctx) const
 {
     // Merge-walk live_ and free_ in address order: together they
-    // must tile [base_, base_ + capacity_) exactly.
+    // must tile [kUmBase, kUmBase + capacity_) exactly.
     auto li = live_.begin();
     auto fi = free_.begin();
-    VAddr cursor = base_;
+    VAddr cursor = kUmBase;
     std::uint64_t live_sum = 0;
     VAddr prev_free_end = 0;
     bool have_prev_free = false;
@@ -133,10 +132,10 @@ VaSpace::checkInvariants(sim::CheckContext &ctx) const
         }
         cursor = rb + rs;
     }
-    ctx.require(cursor == base_ + capacity_,
+    ctx.require(cursor == kUmBase + capacity_,
                 "ranges end at 0x%llx, heap ends at 0x%llx",
                 static_cast<unsigned long long>(cursor),
-                static_cast<unsigned long long>(base_ + capacity_));
+                static_cast<unsigned long long>(kUmBase + capacity_));
     ctx.require(live_sum == usedBytes_,
                 "usedBytes %llu != sum of live ranges %llu",
                 static_cast<unsigned long long>(usedBytes_),
@@ -150,7 +149,7 @@ VaSpace::checkInvariants(sim::CheckContext &ctx) const
 void
 VaSpace::dumpState(std::ostream &os) const
 {
-    os << "VaSpace{base=0x" << std::hex << base_ << std::dec
+    os << "VaSpace{base=0x" << std::hex << kUmBase << std::dec
        << " capacity=" << capacity_ << " used=" << usedBytes_
        << " peak=" << peakBytes_ << " live=" << live_.size()
        << " freeRanges=" << free_.size() << "}\n" << std::hex;

@@ -30,10 +30,10 @@ class VaSpace
 {
   public:
     /**
-     * @param capacity_bytes total VA (== host backing) capacity
-     * @param base base address of the heap
+     * A heap of @p capacity_bytes (== host backing capacity) starting
+     * at kUmBase, where the driver's BlockStore expects every block.
      */
-    explicit VaSpace(std::uint64_t capacity_bytes, VAddr base = kUmBase);
+    explicit VaSpace(std::uint64_t capacity_bytes);
 
     /**
      * Allocate @p bytes (rounded up to whole pages), 2 MiB-aligned.
@@ -67,10 +67,10 @@ class VaSpace
 
     /**
      * Audit the allocator bookkeeping (sim/validate.hh): live and
-     * free ranges must exactly tile [base, base+capacity) without
-     * overlap, free neighbours must be coalesced, every live grant
-     * must be block-aligned and page-rounded, and usedBytes must
-     * equal the sum of live sizes.
+     * free ranges must exactly tile [kUmBase, kUmBase + capacity)
+     * without overlap, free neighbours must be coalesced, every live
+     * grant must be block-aligned and page-rounded, and usedBytes
+     * must equal the sum of live sizes.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -78,7 +78,6 @@ class VaSpace
     void dumpState(std::ostream &os) const;
 
   private:
-    VAddr base_;
     std::uint64_t capacity_;
     std::uint64_t usedBytes_ = 0;
     std::uint64_t peakBytes_ = 0;

@@ -2,26 +2,27 @@
  * @file
  * Dense per-block metadata store for the UM driver.
  *
- * UM allocations are contiguous runs of 2 MiB blocks, so the store
- * maps BlockId -> dense slab index with a direct-mapped array over the
- * span of registered ids: one bounds check and one load, no hashing
- * and no search. The UM heap bounds that span (2048 entries, 8 KiB,
- * at the default 4 GiB heap). A small sorted table of registered runs
- * backs the rarer whole-run operations (range lookup, unregister,
- * BlockId-order iteration, the audit). The
- * BlockInfo records live in a contiguous slab (vector), the
- * least-recently-migrated list is intrusive prev/next slab indices
- * inside BlockInfo, and freed runs go on a coalescing free list so
- * register/unregister churn reuses slots instead of growing the slab.
+ * Every UM allocation lies in the UM heap (mem::VaSpace hands out
+ * block-aligned ranges from mem::kUmBase), so a block's slab slot is
+ * simply its offset from the heap's first block: BlockId -> slot is
+ * one subtraction, one bounds check and one state-byte load, with no
+ * hashing, no search and no index to maintain. One state byte per
+ * slot marks it free, the first block of a registered run, or a later
+ * block of one; that is all unregisterRun needs to accept exactly one
+ * registered run. The BlockInfo records live in a contiguous slab
+ * (vector) that grows to the highest registered block and never
+ * shrinks, and the least-recently-migrated list is intrusive
+ * prev/next slab indices inside BlockInfo.
  *
- * This replaces the driver's former unordered_map block table,
- * std::list LRU with its position side-map, and the outstanding-fault
- * hash set (now a bit in the record) — the per-event hashing and
- * pointer-chasing on the fault path's hottest lookups.
+ * A slot never changes owner: re-registering a freed block returns
+ * the same slot with a fresh record, and no other block can ever
+ * occupy it. Side arrays keyed by slot (the driver's fault dedupe,
+ * the prefetcher's walk dedupe and protection stamps) therefore can
+ * never alias two blocks.
  *
- * Everything here is deterministic by construction: lookups are pure,
- * iteration orders are slab/BlockId order or the intrusive list, and
- * slot assignment depends only on the register/unregister history.
+ * Everything here is deterministic by construction: lookups are pure
+ * arithmetic, and iteration orders are slot (= BlockId) order or the
+ * intrusive list.
  */
 
 #pragma once
@@ -44,22 +45,34 @@ namespace deepum::uvm {
 class BlockStore
 {
   public:
-    /** One registered run of blocks, mapped to contiguous slots. */
-    struct Range {
-        mem::BlockId first = kNoBlock; ///< first block of the run
-        mem::BlockId end = kNoBlock;   ///< one past the last block
-        BlockIndex base = kNoBlockIndex; ///< slab slot of `first`
-    };
+    /** The block in slot 0: the UM heap's first block. */
+    static constexpr mem::BlockId kFirstBlock = mem::blockOf(mem::kUmBase);
 
     // --- lookup (the fault-path hot probe) --------------------------
+
+    /**
+     * The slot @p b occupies whenever it is registered, or
+     * kNoBlockIndex when it lies outside the slab. Pure arithmetic:
+     * it also resolves blocks that are no longer (or not yet)
+     * registered.
+     */
+    DEEPUM_NOALLOC BlockIndex
+    slotOf(mem::BlockId b) const
+    {
+        // Unsigned wrap sends ids below the heap past the end too.
+        std::uint64_t off = b - kFirstBlock;
+        return off < state_.size() ? static_cast<BlockIndex>(off)
+                                   : kNoBlockIndex;
+    }
 
     /** Slab index of @p b, or kNoBlockIndex when unregistered. */
     DEEPUM_NOALLOC BlockIndex
     find(mem::BlockId b) const
     {
-        // Unsigned wrap sends ids below the span past its end too.
-        std::uint64_t off = b - indexBase_;
-        return off < index_.size() ? index_[off] : kNoBlockIndex;
+        BlockIndex i = slotOf(b);
+        return i != kNoBlockIndex && state_[i] != SlotState::Free
+                   ? i
+                   : kNoBlockIndex;
     }
 
     /** True if @p b is registered. */
@@ -77,36 +90,36 @@ class BlockStore
         return slab_[i];
     }
 
-    /** BlockId backing slot @p i (kNoBlock for free slots). */
-    DEEPUM_NOALLOC mem::BlockId idAt(BlockIndex i) const { return ids_[i]; }
+    /** The block that owns slot @p i (whether or not registered). */
+    DEEPUM_NOALLOC mem::BlockId
+    idAt(BlockIndex i) const
+    {
+        return kFirstBlock + static_cast<mem::BlockId>(i);
+    }
 
     /** Registered (live) blocks. */
     std::size_t size() const { return size_; }
 
-    /** Total slab slots ever allocated (live + free); scratch-array
-     * sizing bound for index-keyed side structures. */
+    /** Slab slots: one past the highest block ever registered;
+     * scratch-array sizing bound for index-keyed side structures. */
     std::size_t slabSize() const { return slab_.size(); }
-
-    /** The registered run containing @p b, or nullptr. */
-    DEEPUM_NOALLOC const Range *rangeContaining(mem::BlockId b) const;
 
     // --- registration ----------------------------------------------
 
     /**
      * Register the run [first, end) and return the slab slot of
      * @p first; the run's blocks occupy contiguous slots with
-     * default-constructed records. Panics if any block of the run is
-     * already registered.
+     * default-constructed records. Panics if the run starts below
+     * the UM heap or any block of it is already registered.
      */
     DEEPUM_INVALIDATES_VIEWS
     BlockIndex registerRun(mem::BlockId first, mem::BlockId end);
 
     /**
      * Unregister the run [first, end), which must exactly match one
-     * registered run; its slots join the free list (coalesced). The
-     * caller must already have unlinked resident blocks from the LRU.
+     * registered run; its slots become free. The caller must already
+     * have unlinked resident blocks from the LRU.
      */
-    DEEPUM_INVALIDATES_VIEWS
     void unregisterRun(mem::BlockId first, mem::BlockId end);
 
     // --- intrusive least-recently-migrated list ---------------------
@@ -157,8 +170,7 @@ class BlockStore
      * Range-for view over the LRU as BlockIds, oldest migration
      * first — the shape the policies and audits consume. A
      * DEEPUM_VIEW: do not store one in a field/container or hold it
-     * across registerRun()/unregisterRun() (slab growth and slot
-     * reuse invalidate the traversal).
+     * across registerRun() (slab growth invalidates the traversal).
      */
     class DEEPUM_VIEW LruView
     {
@@ -214,57 +226,34 @@ class BlockStore
     void
     forEachBlock(Fn &&fn) const
     {
-        for (const Range &r : ranges_) {
-            BlockIndex i = r.base;
-            for (mem::BlockId b = r.first; b != r.end; ++b, ++i)
-                fn(b, i);
-        }
+        for (BlockIndex i = 0; i != state_.size(); ++i)
+            if (state_[i] != SlotState::Free)
+                fn(idAt(i), i);
     }
 
     // --- validation (sim/validate.hh) -------------------------------
 
     /**
-     * Audit the slab bookkeeping: run table sorted and disjoint, the
-     * index spanning exactly the registered runs and mapping exactly
-     * the registered ids to their slots, every live slot's backref
-     * naming its mapped block, free runs
-     * sorted/coalesced/disjoint from live slots with scrubbed
-     * records, live + free covering the slab exactly, and the
-     * intrusive LRU links forming one consistent list over live
-     * slots.
+     * Audit the slab bookkeeping: state bytes and records in step,
+     * every run continuation preceded by its run, the live counter
+     * exact, free slots unlinked, and the intrusive LRU links forming
+     * one consistent list over live slots.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
-    /** Stream the run table and free list (violation dumps). */
+    /** Stream the registered runs (violation dumps). */
     void dumpState(std::ostream &os) const;
 
   private:
-    /** A run of free slab slots. */
-    struct FreeRun {
-        BlockIndex base = kNoBlockIndex;
-        BlockIndex len = 0;
+    /** What occupies a slot. */
+    enum class SlotState : std::uint8_t {
+        Free,     ///< not registered
+        RunFirst, ///< first block of a registered run
+        RunRest,  ///< a later block of the run that precedes it
     };
 
-    /** Allocate @p n contiguous slots (first fit, else slab growth). */
-    BlockIndex allocSlots(BlockIndex n);
-
-    /** Return slots [base, base+n) to the free list, coalescing. */
-    void freeSlots(BlockIndex base, BlockIndex n);
-
-    /** Fit index_ to the span of ranges_ (new entries map nothing). */
-    void respanIndex();
-
-    std::vector<Range> ranges_;      ///< sorted by first block
-    /**
-     * BlockId - indexBase_ -> slot, kNoBlockIndex for unregistered
-     * ids; spans [first of the lowest run, end of the highest run)
-     * exactly, and is empty when nothing is registered.
-     */
-    std::vector<BlockIndex> index_;
-    mem::BlockId indexBase_ = 0;     ///< BlockId of index_[0]
-    std::vector<BlockInfo> slab_;    ///< records, dense by slot
-    std::vector<mem::BlockId> ids_;  ///< slot -> block backref
-    std::vector<FreeRun> freeRuns_;  ///< sorted by base, coalesced
+    std::vector<BlockInfo> slab_;    ///< records, slot = heap offset
+    std::vector<SlotState> state_;   ///< per slot, parallel to slab_
     std::size_t size_ = 0;           ///< live blocks
 
     BlockIndex lruHead_ = kNoBlockIndex;

@@ -118,12 +118,11 @@ Driver::unregisterRange(mem::VAddr va, std::uint64_t bytes)
     mem::BlockId end = mem::endBlock(va, bytes);
     if (first == end)
         return;
-    const BlockStore::Range *r = store_.rangeContaining(first);
-    if (r == nullptr)
-        sim::panic("unregisterRange: unknown block %llu",
-                   static_cast<unsigned long long>(first));
-    BlockIndex i = r->base;
-    for (mem::BlockId b = first; b != end; ++b, ++i) {
+    for (mem::BlockId b = first; b != end; ++b) {
+        BlockIndex i = store_.find(b);
+        if (i == kNoBlockIndex)
+            sim::panic("unregisterRange: unknown block %llu",
+                       static_cast<unsigned long long>(b));
         BlockInfo &bi = store_.at(i);
         if (ledger_ != nullptr)
             ledger_->onBlockFreed(b, curTick(),
@@ -648,8 +647,8 @@ Driver::evictBlock(mem::BlockId victim, sim::Tick &t, bool demand)
 void
 Driver::checkInvariants(sim::CheckContext &ctx) const
 {
-    // The slab itself first: run table, free list, backrefs, link
-    // symmetry. Everything below may rely on it.
+    // The slab itself first: state bytes, live count, link symmetry.
+    // Everything below may rely on it.
     store_.checkInvariants(ctx);
 
     // Walk the intrusive LRU once, marking membership and checking
@@ -763,7 +762,7 @@ Driver::dumpState(std::ostream &os) const
        << " total=" << frames_.totalPages() << "\n";
     store_.dumpState(os);
 
-    // forEachBlock iterates the sorted run table: BlockId order.
+    // forEachBlock iterates slots, which are in BlockId order.
     store_.forEachBlock([&](mem::BlockId b, BlockIndex i) {
         const BlockInfo &bi = store_.at(i);
         os << "  block " << b << ": pages=" << bi.pages << " loc="

@@ -17,10 +17,10 @@
  *    prefetch queue; owns the PCIe link).
  *
  * Per-block metadata lives in a dense BlockStore (block_store.hh):
- * BlockId -> slab index is one array read, the LRU is intrusive
- * indices inside BlockInfo, and "pinned by an outstanding fault" is a
- * bit in the record plus a counter — no hashing anywhere on the
- * fault path.
+ * a block's slab index is its offset in the UM heap, the LRU is
+ * intrusive indices inside BlockInfo, and "pinned by an outstanding
+ * fault" is a bit in the record plus a counter — no hashing anywhere
+ * on the fault path.
  */
 
 #pragma once
@@ -184,7 +184,7 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
 
     /**
      * Audit the residency bookkeeping: the BlockStore slab itself
-     * (run table, free list, backrefs, intrusive links), per-block
+     * (state bytes, live count, intrusive links), per-block
      * residency vs the FramePool counts (with in-flight migrations
      * accounted), LRU membership/migrateSeq order, the pinned-bit
      * counter, and queued-flag vs queue-content agreement.

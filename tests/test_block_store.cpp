@@ -4,14 +4,13 @@
  * register/unregister/access/LRU op sequence is mirrored against a
  * trivially-correct reference model (ordered map + std::list), with
  * full-state comparison and the store's own invariant audit
- * interleaved, plus targeted tests of free-slot reuse and the
- * registration panics.
+ * interleaved, plus targeted tests of the slot layout (a block's slot
+ * is its offset in the UM heap) and the registration panics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <list>
 #include <map>
 #include <set>
@@ -76,7 +75,7 @@ compareAll(const BlockStore &st, const RefModel &m)
     for (const auto &[area, run] : m.runs) {
         for (mem::BlockId b = run.first; b != run.second; ++b) {
             BlockIndex i = st.find(b);
-            ASSERT_NE(i, kNoBlockIndex) << "block " << b;
+            ASSERT_EQ(i, static_cast<BlockIndex>(b - kBase)) << "block " << b;
             ASSERT_EQ(st.idAt(i), b);
             ASSERT_EQ(st.at(i).migrateSeq, m.state.at(b));
         }
@@ -120,10 +119,6 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
     RefModel m;
     sim::Rng rng(2023);
     std::uint64_t nextSeq = 1;
-    // Runs registered below every registered one (the index grows
-    // downward) and unregistrations of the lowest or highest run (it
-    // shrinks).
-    int belowLowest = 0, spanShrinks = 0;
 
     for (int step = 0; step < 6000; ++step) {
         std::uint64_t op = rng.below(100);
@@ -135,7 +130,6 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
                 continue;
             mem::BlockId first = areaBase(area);
             mem::BlockId end = first + 1 + rng.below(kMaxRun);
-            belowLowest += !m.runs.empty() && area < m.runs.begin()->first;
             BlockIndex base = st.registerRun(first, end);
             ASSERT_NE(base, kNoBlockIndex);
             m.runs[area] = {first, end};
@@ -148,8 +142,6 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
             if (it == m.runs.end())
                 continue;
             auto [first, end] = it->second;
-            spanShrinks += it == m.runs.begin() ||
-                           std::next(it) == m.runs.end();
             for (mem::BlockId b = first; b != end; ++b) {
                 if (m.inLru.erase(b) != 0) {
                     st.lruErase(st.find(b));
@@ -205,41 +197,38 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
         }
     }
     compareAll(st, m);
-    EXPECT_GT(belowLowest, 0);
-    EXPECT_GT(spanShrinks, 0);
 }
 
-TEST(BlockStore, UnregisterReusesSlabSlots)
+TEST(BlockStore, SlotIsHeapOffset)
 {
     BlockStore st;
-    st.registerRun(kBase, kBase + 8);
-    st.registerRun(kBase + 100, kBase + 108);
-    std::size_t slab = st.slabSize();
-
-    // Drop the first run and register an equal-sized one elsewhere:
-    // the freed slots must be reused, not appended.
-    st.unregisterRun(kBase, kBase + 8);
-    BlockIndex i = st.registerRun(kBase + 200, kBase + 208);
-    EXPECT_EQ(st.slabSize(), slab);
-    EXPECT_EQ(i, 0u); // first-fit: the lowest freed slot
-
-    // A larger run cannot fit the 8-slot hole and must grow the slab.
-    st.registerRun(kBase + 300, kBase + 312);
-    EXPECT_EQ(st.slabSize(), slab + 12);
+    EXPECT_EQ(st.registerRun(kBase + 5, kBase + 9), 5u);
+    EXPECT_EQ(st.registerRun(kBase, kBase + 2), 0u);
+    EXPECT_EQ(st.slabSize(), 9u);
+    EXPECT_EQ(st.find(kBase + 7), 7u);
+    EXPECT_EQ(st.idAt(7), kBase + 7);
+    // The gap between the runs has slots but no registered blocks.
+    EXPECT_EQ(st.slotOf(kBase + 3), 3u);
+    EXPECT_EQ(st.find(kBase + 3), kNoBlockIndex);
+    // Past the slab and below the heap there are no slots at all.
+    EXPECT_EQ(st.slotOf(kBase + 9), kNoBlockIndex);
+    EXPECT_EQ(st.slotOf(kBase - 1), kNoBlockIndex);
     audit(st);
 }
 
-TEST(BlockStore, FreshRecordsAfterReuse)
+TEST(BlockStore, ReregisterGetsSameSlotWithFreshRecord)
 {
     BlockStore st;
-    BlockIndex i = st.registerRun(kBase, kBase + 2);
+    BlockIndex i = st.registerRun(kBase + 4, kBase + 6);
     st.at(i).migrateSeq = 42;
     st.at(i).pages = 17;
-    st.unregisterRun(kBase, kBase + 2);
+    st.unregisterRun(kBase + 4, kBase + 6);
+    EXPECT_FALSE(st.contains(kBase + 4));
+    EXPECT_EQ(st.slotOf(kBase + 4), i); // the slot stays the block's
 
-    // The reused slot must come back default-constructed, not with
-    // the previous tenant's state.
-    BlockIndex j = st.registerRun(kBase + 50, kBase + 52);
+    // Registering the same blocks again returns the same slot, with a
+    // default record rather than the previous registration's state.
+    BlockIndex j = st.registerRun(kBase + 4, kBase + 6);
     EXPECT_EQ(i, j);
     EXPECT_EQ(st.at(j).migrateSeq, 0u);
     EXPECT_EQ(st.at(j).pages, 0u);
@@ -269,6 +258,24 @@ TEST(BlockStoreDeath, PartialUnregisterPanics)
     st.registerRun(kBase, kBase + 4);
     EXPECT_DEATH(st.unregisterRun(kBase, kBase + 2),
                  "is not a registered run");
+    EXPECT_DEATH(st.unregisterRun(kBase, kBase + 6),
+                 "is not a registered run");
+}
+
+TEST(BlockStoreDeath, UnregisterSpanningTwoRunsPanics)
+{
+    BlockStore st;
+    st.registerRun(kBase, kBase + 4);
+    st.registerRun(kBase + 4, kBase + 8);
+    EXPECT_DEATH(st.unregisterRun(kBase, kBase + 8),
+                 "is not a registered run");
+}
+
+TEST(BlockStoreDeath, RunBelowHeapPanics)
+{
+    BlockStore st;
+    EXPECT_DEATH(st.registerRun(kBase - 2, kBase + 1),
+                 "below the UM heap");
 }
 
 } // namespace

@@ -2,10 +2,15 @@
  * @file
  * Unit tests for the correlator, prefetcher (chaining semantics),
  * DeepUM eviction policy, and pre-evictor, wired to a real driver on
- * a small simulated GPU.
+ * a small simulated GPU, plus a property test of the prediction
+ * window's protected set against the per-slot refcount design.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <vector>
 
 #include "core/correlator.hh"
 #include "core/deepum.hh"
@@ -15,7 +20,9 @@
 #include "gpu/pcie_link.hh"
 #include "mem/frame_pool.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "sim/validate.hh"
 #include "uvm/driver.hh"
 
 using namespace deepum;
@@ -94,6 +101,125 @@ TEST(Correlator, FaultsBeforeFirstLaunchIgnored)
     TableFixture f;
     f.corr.onFaultBlocks({1, 2}); // must not crash or record
     EXPECT_EQ(f.blocks.tableCount(), 0u);
+}
+
+// ------------------------------------------------------ protected set
+
+/**
+ * The protected-set design the window's stamps replaced, kept as the
+ * oracle: each live slot lists every block slot it protected, and a
+ * block is protected while its refcount over those lists is nonzero.
+ */
+struct RefcountWindow {
+    struct Slot {
+        ExecId exec;
+        std::vector<uvm::BlockIndex> blocks;
+    };
+    std::deque<Slot> slots;
+    std::vector<std::uint32_t> refs;
+
+    explicit RefcountWindow(std::size_t blocks) : refs(blocks, 0) {}
+
+    void
+    protect(std::size_t k, uvm::BlockIndex i)
+    {
+        slots[k].blocks.push_back(i);
+        ++refs[i];
+    }
+
+    void
+    popFront()
+    {
+        for (uvm::BlockIndex i : slots.front().blocks)
+            --refs[i];
+        slots.pop_front();
+    }
+
+    /** Drop every entry naming a slot in [lo, hi) (a range free). */
+    void
+    freeRange(uvm::BlockIndex lo, uvm::BlockIndex hi)
+    {
+        for (Slot &s : slots)
+            std::erase_if(s.blocks, [&](uvm::BlockIndex i) {
+                if (i < lo || i >= hi)
+                    return false;
+                --refs[i];
+                return true;
+            });
+    }
+};
+
+TEST(PredictionWindow, MatchesPerSlotRefcountModel)
+{
+    constexpr std::size_t kCapacity = 6; // lookaheadN 4, plus 2
+    constexpr uvm::BlockIndex kBlocks = 40;
+    PredictionWindow w(kCapacity);
+    w.growStamps(kBlocks);
+    RefcountWindow m(kBlocks);
+    sim::Rng rng(18);
+    int slides = 0, clears = 0, frees = 0, reprotects = 0;
+
+    for (int step = 0; step < 20000; ++step) {
+        std::uint64_t op = rng.below(100);
+        if (op < 15) {
+            // Predict one more kernel.
+            if (w.size() == kCapacity)
+                continue;
+            ExecId e = static_cast<ExecId>(rng.below(1000));
+            w.push(e);
+            m.slots.push_back({e, {}});
+        } else if (op < 60) {
+            // Issue a block for a live slot, often one some slot
+            // already protects.
+            if (w.size() == 0)
+                continue;
+            std::size_t k = rng.below(w.size());
+            auto i = static_cast<uvm::BlockIndex>(rng.below(kBlocks));
+            reprotects += m.refs[i] != 0;
+            w.protect(k, i);
+            m.protect(k, i);
+        } else if (op < 80) {
+            // The front kernel launched as predicted: slide.
+            if (w.size() == 0)
+                continue;
+            w.popFront();
+            m.popFront();
+            ++slides;
+        } else if (op < 85) {
+            // A mispredicted launch retires the whole window.
+            w.clear();
+            while (!m.slots.empty())
+                m.popFront();
+            ++clears;
+        } else if (op < 90) {
+            // A range free scrubs its blocks.
+            auto lo = static_cast<uvm::BlockIndex>(rng.below(kBlocks));
+            uvm::BlockIndex hi = std::min<uvm::BlockIndex>(
+                kBlocks, lo + 1 + static_cast<uvm::BlockIndex>(
+                                      rng.below(8)));
+            for (uvm::BlockIndex i = lo; i != hi; ++i)
+                w.unprotect(i);
+            m.freeRange(lo, hi);
+            ++frees;
+        } else {
+            continue;
+        }
+
+        ASSERT_EQ(w.size(), m.slots.size()) << "step " << step;
+        for (std::size_t k = 0; k < w.size(); ++k)
+            ASSERT_EQ(w.exec(k), m.slots[k].exec)
+                << "window slot " << k << " at step " << step;
+        for (uvm::BlockIndex i = 0; i < kBlocks; ++i)
+            ASSERT_EQ(w.isProtected(i), m.refs[i] != 0)
+                << "block slot " << i << " at step " << step;
+        sim::CheckContext ctx("PredictionWindow", "test",
+                              [&](std::ostream &os) { w.dumpState(os); });
+        w.checkInvariants(ctx);
+    }
+    EXPECT_GT(slides, 0);
+    EXPECT_GT(clears, 0);
+    EXPECT_GT(frees, 0);
+    EXPECT_GT(reprotects, 0);
 }
 
 // ------------------------------------------------------ full pipeline
