@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/runner.hh"
@@ -21,6 +20,7 @@
 #include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "models/registry.hh"
+#include "support/parse_num.hh"
 
 namespace deepum::bench {
 
@@ -116,11 +116,27 @@ banner(const char *what)
 }
 
 /**
- * Parse the shared bench flags: `--jobs N` (N=0 means one job per
- * hardware thread). Default is 1 — single-threaded, byte-identical
- * to the historical serial output; any `--jobs` value produces the
- * same bytes anyway because cells are independent and results are
- * collected in grid order (see harness/parallel.hh).
+ * The value @p text of @p prog's `--jobs` flag: a job count in [0,
+ * harness::kMaxJobs], 0 meaning one job per hardware thread. Anything
+ * else exits 2 with an error naming the flag.
+ */
+inline unsigned
+parseJobs(const char *prog, const std::string &text)
+{
+    auto jobs = support::parseNum(prog, "--jobs", text, 0,
+                                  harness::kMaxJobs);
+    if (!jobs)
+        std::exit(2);
+    return *jobs != 0 ? static_cast<unsigned>(*jobs)
+                      : harness::hardwareJobs();
+}
+
+/**
+ * Parse the shared bench flags: `--jobs N` (see parseJobs()). Default
+ * is 1 — single-threaded, byte-identical to the historical serial
+ * output; any `--jobs` value produces the same bytes anyway because
+ * cells are independent and results are collected in grid order (see
+ * harness/parallel.hh).
  */
 inline unsigned
 jobsFromArgs(int argc, char **argv)
@@ -137,9 +153,7 @@ jobsFromArgs(int argc, char **argv)
             std::fprintf(stderr, "usage: %s [--jobs N]\n", argv[0]);
             std::exit(2);
         }
-        jobs = static_cast<unsigned>(std::strtoul(val, nullptr, 10));
-        if (jobs == 0)
-            jobs = std::max(1u, std::thread::hardware_concurrency());
+        jobs = parseJobs(argv[0], val);
     }
     return jobs;
 }

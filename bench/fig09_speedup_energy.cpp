@@ -50,17 +50,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0)
-                jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
+            jobs = parseJobs(argv[0], argv[++i]);
         } else if (a.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 7, nullptr, 10));
-            if (jobs == 0)
-                jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
+            jobs = parseJobs(argv[0], a.substr(7));
         } else if (a == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else {

@@ -59,14 +59,13 @@ gridSeconds(unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 0; // 0 = one per hardware thread
+    unsigned jobs = harness::hardwareJobs();
     std::string out;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            jobs = parseJobs("sim_throughput", argv[++i]);
         } else if (a == "--out" && i + 1 < argc) {
             out = argv[++i];
         } else {
@@ -76,8 +75,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
 
     banner("sweepGrid wall-clock (reduced iterations)");
     double grid_serial = gridSeconds(1);

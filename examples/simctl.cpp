@@ -32,7 +32,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -84,7 +83,7 @@ usage(int status = 2)
         "  --batches N,N,...    sweep several batch sizes, one row "
         "each\n"
         "  --jobs N             threads for the sweep (0 = one per "
-        "core)\n"
+        "core, at most 1024)\n"
         "\n"
         "  Numbers are unsigned decimal integers; each flag rejects "
         "values outside\n"
@@ -189,10 +188,10 @@ main(int argc, char **argv)
                 pos = comma + 1;
             }
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(numArg(argc, argv, i, 0, kMaxU32));
+            jobs = static_cast<unsigned>(
+                numArg(argc, argv, i, 0, harness::kMaxJobs));
             if (jobs == 0)
-                jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
+                jobs = harness::hardwareJobs();
         } else if (a == "--system") {
             system = strArg(argc, argv, i);
         } else if (a == "--gpu-mib") {

@@ -27,72 +27,105 @@ BlockCorrelationTable::BlockCorrelationTable(const BlockTableConfig &cfg)
 {
     DEEPUM_ASSERT(cfg_.numRows > 0 && cfg_.assoc > 0 && cfg_.numSuccs > 0,
                   "degenerate block-table geometry");
-    const std::size_t ways = std::size_t(cfg_.numRows) * cfg_.assoc;
-    entries_.resize(ways);
-    succSlab_.assign(ways * cfg_.numSuccs, uvm::kNoBlock);
-    occupied_.assign((ways + 63) / 64, 0);
+    const std::size_t words =
+        (std::size_t(cfg_.numRows) * cfg_.assoc + 63) / 64;
+    occupied_.assign(words, 0);
+    rankBase_.assign(words, 0);
 }
 
 std::size_t
 BlockCorrelationTable::setIndex(mem::BlockId b) const
 {
-    return static_cast<std::size_t>(mix(b) % cfg_.numRows);
+    // The same value as mix(b) % numRows; the default row count is a
+    // power of two, where a mask spares the probe a 64-bit division.
+    const std::uint64_t h = mix(b);
+    const std::uint64_t rows = cfg_.numRows;
+    return static_cast<std::size_t>((rows & (rows - 1)) == 0 ? h & (rows - 1)
+                                                             : h % rows);
 }
 
-BlockCorrelationTable::Entry *
-BlockCorrelationTable::find(mem::BlockId b)
+BlockCorrelationTable::EntryIndex
+BlockCorrelationTable::find(mem::BlockId b, std::size_t &way) const
 {
-    return findEntry(*this, b);
+    way = setIndex(b) * cfg_.assoc;
+    EntryIndex i = rankOf(way);
+    for (std::uint32_t k = 0; k < cfg_.assoc; ++k, ++way) {
+        if (!isOccupied(way))
+            continue;
+        if (entries_[i].tag == b)
+            return i;
+        ++i;
+    }
+    return kNoEntry;
 }
 
-const BlockCorrelationTable::Entry *
-BlockCorrelationTable::find(mem::BlockId b) const
+void
+BlockCorrelationTable::growEntries(std::size_t way, EntryIndex i)
 {
-    return findEntry(*this, b);
+    support::insertAmortized(entries_, i, 1, Entry{});
+    support::insertAmortized(succs_, std::size_t(i) * cfg_.numSuccs,
+                             cfg_.numSuccs, uvm::kNoBlock);
+    occupied_[way >> 6] |= wayBit(way);
+    for (std::size_t w = (way >> 6) + 1; w < rankBase_.size(); ++w)
+        ++rankBase_[w];
 }
 
 void
 BlockCorrelationTable::record(mem::BlockId prev, mem::BlockId next)
 {
-    Entry *e = find(prev);
-    if (e == nullptr) {
-        // Allocate a way: first invalid, otherwise LRU replacement.
-        Entry *base = &entries_[setIndex(prev) * cfg_.assoc];
-        Entry *victim = &base[0];
-        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-            if (base[w].tag == uvm::kNoBlock) {
-                victim = &base[w];
-                break;
+    // One pass over prev's set: its entry, else the way to fill — the
+    // first empty way, otherwise the strict-< LRU way in way order.
+    std::size_t way = setIndex(prev) * cfg_.assoc;
+    EntryIndex i = rankOf(way);
+    EntryIndex hit = kNoEntry;
+    EntryIndex lru = kNoEntry;
+    std::size_t empty_way = 0;
+    EntryIndex empty_at = kNoEntry;
+    for (std::uint32_t k = 0; k < cfg_.assoc; ++k, ++way) {
+        if (!isOccupied(way)) {
+            if (empty_at == kNoEntry) {
+                empty_way = way;
+                empty_at = i;
             }
-            if (base[w].lastUse < victim->lastUse)
-                victim = &base[w];
-        }
-        const auto way = static_cast<std::size_t>(victim - entries_.data());
-        if (victim->tag != uvm::kNoBlock)
-            ++replacements_;
-        else
-            markOccupied(way);
-        victim->tag = prev;
-        victim->succCount = 0;
-        e = victim;
-    }
-    e->lastUse = ++useClock_;
-    e->lastEpoch = epoch_;
-
-    mem::BlockId *s = succsOf(static_cast<std::size_t>(e - entries_.data()));
-    for (std::uint32_t i = 0; i < e->succCount; ++i) {
-        if (s[i] != next)
             continue;
-        // Refresh to MRU position: slide [0, i) up one, put next at 0.
-        std::memmove(s + 1, s, i * sizeof(mem::BlockId));
+        }
+        if (entries_[i].tag == prev) {
+            hit = i;
+            break;
+        }
+        if (lru == kNoEntry || entries_[i].lastUse < entries_[lru].lastUse)
+            lru = i;
+        ++i;
+    }
+    if (hit == kNoEntry) {
+        if (empty_at != kNoEntry) {
+            growEntries(empty_way, empty_at);
+            hit = empty_at;
+        } else {
+            ++replacements_;
+            hit = lru;
+        }
+        entries_[hit].tag = prev;
+        entries_[hit].succCount = 0;
+    }
+    Entry &e = entries_[hit];
+    e.lastUse = ++useClock_;
+    e.lastEpoch = epoch_;
+
+    mem::BlockId *s = succsOf(hit);
+    for (std::uint32_t j = 0; j < e.succCount; ++j) {
+        if (s[j] != next)
+            continue;
+        // Refresh to MRU position: slide [0, j) up one, put next at 0.
+        std::memmove(s + 1, s, j * sizeof(mem::BlockId));
         s[0] = next;
         return;
     }
     // Insert at MRU, dropping the LRU slot when at capacity.
-    std::uint32_t keep = std::min(e->succCount, cfg_.numSuccs - 1);
+    std::uint32_t keep = std::min(e.succCount, cfg_.numSuccs - 1);
     std::memmove(s + 1, s, keep * sizeof(mem::BlockId));
     s[0] = next;
-    e->succCount = keep + 1;
+    e.succCount = keep + 1;
 }
 
 void
@@ -122,50 +155,73 @@ BlockCorrelationTable::captureStartEnd(mem::BlockId start,
 SuccView
 BlockCorrelationTable::successors(mem::BlockId b) const
 {
-    const Entry *e = find(b);
-    if (e == nullptr)
+    EntryIndex i = find(b);
+    if (i == kNoEntry)
         return SuccView{};
-    return SuccView{
-        succsOf(static_cast<std::size_t>(e - entries_.data())),
-        e->succCount};
+    return SuccView{succsOf(i), entries_[i].succCount};
+}
+
+SuccView
+BlockCorrelationTable::visit(mem::BlockId b)
+{
+    EntryIndex i = find(b);
+    if (i == kNoEntry)
+        return SuccView{};
+    refreshAt(i);
+    return SuccView{succsOf(i), entries_[i].succCount};
 }
 
 void
-BlockCorrelationTable::freshTags(std::uint32_t window,
-                                 std::vector<mem::BlockId> &out) const
+BlockCorrelationTable::freshEntries(std::uint32_t window,
+                                    std::vector<EntryIndex> &out) const
 {
     out.clear();
-    forEachOccupied([&](std::size_t way) {
-        const Entry &e = entries_[way];
-        if (e.lastEpoch + window >= epoch_)
-            support::pushAmortized(out, e.tag);
-    });
+    for (EntryIndex i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].lastEpoch + window >= epoch_)
+            support::pushAmortized(out, i);
+    }
 }
 
 std::vector<mem::BlockId>
 BlockCorrelationTable::freshTags(std::uint32_t window) const
 {
+    std::vector<EntryIndex> fresh;
+    freshEntries(window, fresh);
     std::vector<mem::BlockId> tags;
-    freshTags(window, tags);
+    for (EntryIndex i : fresh)
+        tags.push_back(tagAt(i));
     return tags;
 }
 
 void
 BlockCorrelationTable::refresh(mem::BlockId b)
 {
-    Entry *e = find(b);
-    if (e != nullptr) {
-        e->lastUse = ++useClock_;
-        e->lastEpoch = epoch_;
-    }
+    EntryIndex i = find(b);
+    if (i != kNoEntry)
+        refreshAt(i);
+}
+
+void
+BlockCorrelationTable::refreshAt(EntryIndex i)
+{
+    entries_[i].lastUse = ++useClock_;
+    entries_[i].lastEpoch = epoch_;
 }
 
 void
 BlockCorrelationTable::erase(mem::BlockId b)
 {
-    Entry *e = find(b);
-    if (e != nullptr)
-        resetWay(static_cast<std::size_t>(e - entries_.data()));
+    std::size_t way = 0;
+    EntryIndex i = find(b, way);
+    if (i == kNoEntry)
+        return;
+    entries_.erase(entries_.begin() + i);
+    auto s = succs_.begin() +
+             static_cast<std::ptrdiff_t>(std::size_t(i) * cfg_.numSuccs);
+    succs_.erase(s, s + cfg_.numSuccs);
+    occupied_[way >> 6] &= ~wayBit(way);
+    for (std::size_t w = (way >> 6) + 1; w < rankBase_.size(); ++w)
+        --rankBase_[w];
 }
 
 void
@@ -174,21 +230,38 @@ BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
     auto dead = [first, end](mem::BlockId b) {
         return b >= first && b < end;
     };
+    // One compacting pass in way order: the entry of the k-th
+    // occupied way is entries_[k], and kept entries slide down to
+    // index `kept` with their successor windows.
+    EntryIndex from = 0;
+    EntryIndex kept = 0;
     forEachOccupied([&](std::size_t way) {
-        Entry &e = entries_[way];
+        Entry e = entries_[from];
+        const mem::BlockId *src = succsOf(from++);
         if (dead(e.tag)) {
-            resetWay(way);
+            occupied_[way >> 6] &= ~wayBit(way);
             return;
         }
-        // Compact the inline successor window, preserving MRU order.
-        mem::BlockId *s = succsOf(way);
+        // Compact the successor window, preserving MRU order.
+        mem::BlockId *dst = succsOf(kept);
         std::uint32_t n = 0;
-        for (std::uint32_t i = 0; i < e.succCount; ++i) {
-            if (!dead(s[i]))
-                s[n++] = s[i];
+        for (std::uint32_t j = 0; j < e.succCount; ++j) {
+            if (!dead(src[j]))
+                dst[n++] = src[j];
         }
         e.succCount = n;
+        entries_[kept++] = e;
     });
+    entries_.erase(entries_.begin() + kept, entries_.end());
+    succs_.erase(succs_.begin() + static_cast<std::ptrdiff_t>(
+                                      std::size_t(kept) * cfg_.numSuccs),
+                 succs_.end());
+    // Recount the rank bases from the compacted bitmap.
+    EntryIndex live = 0;
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+        rankBase_[w] = live;
+        live += countBits(occupied_[w]);
+    }
     if (start_ != uvm::kNoBlock && dead(start_))
         start_ = uvm::kNoBlock;
     if (end_ != uvm::kNoBlock && dead(end_))
@@ -198,59 +271,66 @@ BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
 void
 BlockCorrelationTable::checkInvariants(sim::CheckContext &ctx) const
 {
-    ctx.require(succSlab_.size() ==
-                    entries_.size() * std::size_t(cfg_.numSuccs),
-                "successor slab holds %zu slots for %zu ways of %u",
-                succSlab_.size(), entries_.size(), cfg_.numSuccs);
-    ctx.require(occupied_.size() == (entries_.size() + 63) / 64,
-                "occupancy bitmap holds %zu words for %zu ways",
-                occupied_.size(), entries_.size());
-    if (entries_.size() % 64 != 0)
-        ctx.require(occupied_.back() >> (entries_.size() % 64) == 0,
-                    "occupancy bit set past way count %zu",
-                    entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const std::size_t ways = std::size_t(cfg_.numRows) * cfg_.assoc;
+    ctx.require(occupied_.size() == (ways + 63) / 64 &&
+                    rankBase_.size() == occupied_.size(),
+                "%zu occupancy words and %zu rank bases for %zu ways",
+                occupied_.size(), rankBase_.size(), ways);
+    if (ways % 64 != 0)
+        ctx.require(occupied_.back() >> (ways % 64) == 0,
+                    "occupancy bit set past way count %zu", ways);
+    std::size_t live = 0;
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+        ctx.require(rankBase_[w] == live,
+                    "word %zu rank base %u, bitmap counts %zu below it",
+                    w, rankBase_[w], live);
+        live += countBits(occupied_[w]);
+    }
+    ctx.require(entries_.size() == live &&
+                    succs_.size() == live * cfg_.numSuccs,
+                "%zu entries and %zu successor slots for %zu live ways "
+                "of %u successors",
+                entries_.size(), succs_.size(), live, cfg_.numSuccs);
+    if (entries_.size() != live || succs_.size() != live * cfg_.numSuccs)
+        return; // the per-entry walk below would read out of bounds
+
+    EntryIndex i = 0;
+    EntryIndex set_first = 0; // first entry of the current way's set
+    std::size_t cur_set = ~std::size_t(0);
+    forEachOccupied([&](std::size_t way) {
         const Entry &e = entries_[i];
-        const std::size_t set = i / cfg_.assoc;
-        const bool marked = (occupied_[i >> 6] & wayBit(i)) != 0;
-        ctx.require(marked == (e.tag != uvm::kNoBlock),
-                    "way %zu occupancy bit %d disagrees with tag %llu",
-                    i, int(marked),
-                    static_cast<unsigned long long>(e.tag));
-        if (e.tag == uvm::kNoBlock) {
-            ctx.require(e.succCount == 0 && e.lastUse == 0 &&
-                            e.lastEpoch == 0,
-                        "empty way %zu not fully reset", i);
-            continue;
+        const std::size_t set = way / cfg_.assoc;
+        if (set != cur_set) {
+            cur_set = set;
+            set_first = i;
         }
-        ctx.require(setIndex(e.tag) == set,
-                    "tag %llu in set %zu hashes to set %zu",
-                    static_cast<unsigned long long>(e.tag), set,
-                    setIndex(e.tag));
+        ctx.require(e.tag != uvm::kNoBlock && setIndex(e.tag) == set,
+                    "way %zu tag %llu hashes to set %zu",
+                    way, static_cast<unsigned long long>(e.tag),
+                    e.tag != uvm::kNoBlock ? setIndex(e.tag) : set);
+        for (EntryIndex j = set_first; j < i; ++j)
+            ctx.require(entries_[j].tag != e.tag,
+                        "tag %llu duplicated within set %zu",
+                        static_cast<unsigned long long>(e.tag), set);
         ctx.require(e.succCount <= cfg_.numSuccs,
-                    "way %zu holds %u successors, max %u", i,
+                    "way %zu holds %u successors, max %u", way,
                     e.succCount, cfg_.numSuccs);
         ctx.require(e.lastUse <= useClock_,
-                    "way %zu lastUse %llu beyond clock %llu", i,
+                    "way %zu lastUse %llu beyond clock %llu", way,
                     static_cast<unsigned long long>(e.lastUse),
                     static_cast<unsigned long long>(useClock_));
         ctx.require(e.lastEpoch <= epoch_,
-                    "way %zu lastEpoch %u beyond epoch %u", i,
+                    "way %zu lastEpoch %u beyond epoch %u", way,
                     e.lastEpoch, epoch_);
         const mem::BlockId *s = succsOf(i);
         for (std::uint32_t a = 0; a < e.succCount; ++a) {
             for (std::uint32_t b = a + 1; b < e.succCount; ++b)
                 ctx.require(s[a] != s[b],
-                            "way %zu successor %llu duplicated", i,
+                            "way %zu successor %llu duplicated", way,
                             static_cast<unsigned long long>(s[a]));
         }
-        // No duplicate tag in the same set.
-        const Entry *base = &entries_[set * cfg_.assoc];
-        for (std::uint32_t w = i % cfg_.assoc + 1; w < cfg_.assoc; ++w)
-            ctx.require(base[w].tag != e.tag,
-                        "tag %llu duplicated within set %zu",
-                        static_cast<unsigned long long>(e.tag), set);
-    }
+        ++i;
+    });
 }
 
 void
@@ -260,33 +340,39 @@ BlockCorrelationTable::dumpState(std::ostream &os) const
        << " assoc=" << cfg_.assoc << " succs=" << cfg_.numSuccs
        << " live=" << entryCount() << " start=" << start_
        << " end=" << end_ << " epoch=" << epoch_
-       << " useClock=" << useClock_ << "}\n";
-    forEachOccupied([&](std::size_t i) {
+       << " useClock=" << useClock_ << "}\n  rank bases:";
+    for (EntryIndex r : rankBase_)
+        os << " " << r;
+    os << "\n";
+    // Pair the k-th occupied way with entries_[k]; a drifted table may
+    // have more of either, so each side stops at its own count.
+    EntryIndex i = 0;
+    forEachOccupied([&](std::size_t way) {
+        os << "  way " << way << ": ";
+        if (i >= entries_.size()) {
+            os << "no entry\n";
+            return;
+        }
         const Entry &e = entries_[i];
-        os << "  way " << i << ": tag=" << e.tag
-           << " lastUse=" << e.lastUse << " lastEpoch=" << e.lastEpoch
-           << " succs=[";
-        const mem::BlockId *s = succsOf(i);
-        for (std::uint32_t j = 0; j < e.succCount; ++j)
-            os << (j != 0 ? " " : "") << s[j];
+        os << "tag=" << e.tag << " lastUse=" << e.lastUse
+           << " lastEpoch=" << e.lastEpoch << " succs=[";
+        const std::size_t base = std::size_t(i) * cfg_.numSuccs;
+        for (std::uint32_t j = 0;
+             j < e.succCount && base + j < succs_.size(); ++j)
+            os << (j != 0 ? " " : "") << succs_[base + j];
         os << "]\n";
+        ++i;
     });
-}
-
-std::size_t
-BlockCorrelationTable::entryCount() const
-{
-    std::size_t n = 0;
-    for (std::uint64_t w : occupied_)
-        n += static_cast<std::size_t>(__builtin_popcountll(w));
-    return n;
+    for (; i < entries_.size(); ++i)
+        os << "  entry " << i << " (no way): tag=" << entries_[i].tag
+           << "\n";
 }
 
 std::uint64_t
 BlockCorrelationTable::sizeBytes() const
 {
     // tag + lastUse + numSuccs successor slots per way, plus the
-    // start/end pointers. Tables are allocated at full geometry.
+    // start/end pointers: the paper's full-geometry accounting.
     std::uint64_t per_entry =
         sizeof(mem::BlockId) + sizeof(std::uint64_t) +
         std::uint64_t(cfg_.numSuccs) * sizeof(mem::BlockId);

@@ -9,19 +9,24 @@
  * fault before the next kernel), which the prefetcher uses to chain
  * across kernels.
  *
- * Storage is dense, mirroring the driver's uvm::BlockStore: entries
- * are fixed-size records in one set-major slab, and every entry's
- * successor list is a fixed-capacity inline window carved from a
- * second contiguous slab (way i owns slot range [i*NumSuccs,
- * (i+1)*NumSuccs)). record()'s LRU-replace + MRU-insert and
- * successors() are pointer arithmetic over those slabs — no per-entry
- * heap vectors, no allocation on the record/lookup hot path, and the
- * successor storage never moves for the table's lifetime, so the
- * SuccView returned by successors() stays valid (it re-reads current
- * contents) instead of dangling like the former vector reference.
- * A one-bit-per-way occupancy bitmap lets the whole-table walks
- * (freshTags(), eraseRange(), entryCount()) visit only the occupied
- * ways, in slab order, instead of every way of the geometry.
+ * Storage is sized by the live entries, not by the geometry. A table
+ * holds a handful to a hundred live entries of its thousands of ways
+ * on the paper's workloads, so it keeps one occupancy bit per way
+ * plus, per 64-way word, the live count of the earlier words (the
+ * rank base). The live entries sit packed in ascending way order, and
+ * their fixed-capacity successor windows sit packed in a parallel
+ * array. An occupied way's entry is its rank: the word's rank base
+ * plus the occupied ways below it in its word. A probe is the set
+ * hash, one rank, and a compare per way of the set; construction
+ * allocates the bitmap and the rank bases only (768 B at the default
+ * 2048 x 2).
+ *
+ * Filling an empty way inserts into both packed arrays and raises the
+ * later words' rank bases; erase() removes and lowers them. So
+ * record() may allocate while a table grows past its largest live
+ * count so far, and successor storage moves whenever an entry is
+ * inserted or erased: a SuccView, like an entry index, is valid until
+ * the next DEEPUM_INVALIDATES_VIEWS call on its table.
  */
 
 #pragma once
@@ -45,14 +50,14 @@ namespace deepum::core {
 
 /**
  * Borrowed, read-only view of one entry's successor list (MRU
- * first). A value type over the table's stable successor slab: the
- * pointed-to storage lives as long as the table, so a stale view
- * never dangles. It is still *logically* invalidated by mutation —
- * the view captures its length at creation but re-reads contents, so
- * holding one across record()/erase() observes a mixed stale-length/
- * updated-contents state. The analyzer's view-escape check enforces
- * the contract: views must not be stored in fields or containers,
- * nor held live across DEEPUM_INVALIDATES_VIEWS methods.
+ * first), pointing into the table's packed successor array. It is
+ * valid until the next DEEPUM_INVALIDATES_VIEWS call on its table:
+ * inserting or erasing an entry moves the successor windows. While
+ * no entry is inserted or erased a held view re-reads current
+ * contents, so it sees MRU updates to its own entry (at the length
+ * captured when it was made). The analyzer's view-escape check
+ * enforces the contract: views must not be stored in fields or
+ * containers, nor held live across DEEPUM_INVALIDATES_VIEWS methods.
  */
 class DEEPUM_VIEW SuccView
 {
@@ -80,12 +85,16 @@ class BlockCorrelationTable
   public:
     explicit BlockCorrelationTable(const BlockTableConfig &cfg);
 
+    /** Packed index of a live entry (see freshEntries()). */
+    using EntryIndex = std::uint32_t;
+
     /**
      * Record that a fault on @p next followed a fault on @p prev
-     * within this kernel. Allocates/replaces entries LRU within the
-     * mapped set; inserts @p next at MRU position of @p prev's
-     * successor list. Never allocates: the entry and successor slabs
-     * are sized at construction.
+     * within this kernel. One pass over @p prev's set finds its
+     * entry or the way to fill: the first empty way, else the strict
+     * LRU way. Inserts @p next at MRU position of @p prev's successor
+     * list. Allocates only while filling an empty way grows the
+     * table past its largest live count so far (growEntries()).
      */
     DEEPUM_NOALLOC DEEPUM_INVALIDATES_VIEWS
     void record(mem::BlockId prev, mem::BlockId next);
@@ -95,6 +104,12 @@ class BlockCorrelationTable
      * Returned by value; see SuccView for the lifetime contract.
      */
     DEEPUM_NOALLOC SuccView successors(mem::BlockId b) const;
+
+    /**
+     * One chain-walk visit: refresh() and successors() of @p b in a
+     * single probe.
+     */
+    DEEPUM_NOALLOC SuccView visit(mem::BlockId b);
 
     /** First faulted block of the kernel's executions. */
     mem::BlockId start() const { return start_; }
@@ -128,8 +143,10 @@ class BlockCorrelationTable
     std::uint32_t bestSequenceLen() const { return bestLen_; }
 
     /**
-     * Append the tags of entries touched within the last @p window
-     * executions to @p out (cleared first), in slab order.
+     * Fill @p out (cleared first) with the indices of the entries
+     * touched within the last @p window executions, in ascending way
+     * order. An index names its entry to tagAt() and refreshAt()
+     * until the next DEEPUM_INVALIDATES_VIEWS call on this table.
      *
      * A kernel's fault-learned graph can split into disconnected
      * components (blocks that stop faulting because prefetching
@@ -138,18 +155,24 @@ class BlockCorrelationTable
      * entry on kernel entry breaks the oscillation; refresh() keeps
      * successfully-prefetched entries live. The out-parameter form
      * lets the prefetcher reuse one scratch vector across
-     * activations (allocation-free steady state). Cost is
-     * O(occupied ways + ways/64): the walk follows the occupancy
-     * bitmap, not the whole slab.
+     * activations (allocation-free steady state). Cost is O(live
+     * entries).
      */
-    DEEPUM_NOALLOC void freshTags(std::uint32_t window,
-                                  std::vector<mem::BlockId> &out) const;
+    DEEPUM_NOALLOC void freshEntries(std::uint32_t window,
+                                     std::vector<EntryIndex> &out) const;
 
-    /** Convenience allocating form (tests). */
+    /** Tags of freshEntries(), in the same order (tests). */
     std::vector<mem::BlockId> freshTags(std::uint32_t window) const;
 
-    /** Mark @p b's entry as used this epoch (chain visit). */
+    /** Tag of the live entry at @p i. */
+    mem::BlockId tagAt(EntryIndex i) const { return entries_[i].tag; }
+
+    /** Mark @p b's entry as used this epoch (GPU access, useful
+     * prefetch). */
     DEEPUM_NOALLOC void refresh(mem::BlockId b);
+
+    /** refresh() the live entry at @p i without probing for it. */
+    DEEPUM_NOALLOC void refreshAt(EntryIndex i);
 
     /**
      * Drop @p b's entry. Called when a prefetch predicted from this
@@ -173,12 +196,12 @@ class BlockCorrelationTable
     std::uint32_t epoch() const { return epoch_; }
 
     /** Live entries across all sets (tests/stats). */
-    std::size_t entryCount() const;
+    std::size_t entryCount() const { return entries_.size(); }
 
     /**
-     * Bytes this table occupies. Tables are allocated at full
-     * configured geometry (the paper's Table 4 reports allocated
-     * table memory, which scales with rows x assoc x succs).
+     * The paper's Table-4 size of this table: full configured
+     * geometry, rows x assoc x (tag + use stamp + succs). A fidelity
+     * number, not host memory: the host keeps the live entries only.
      */
     std::uint64_t sizeBytes() const;
 
@@ -196,12 +219,14 @@ class BlockCorrelationTable
     std::uint64_t replacements() const { return replacements_; }
 
     /**
-     * Audit structural invariants (sim/validate.hh): tags hash to
-     * their set, no duplicate tags within a set, successor counts
-     * within the inline capacity and the listed successors
-     * duplicate-free, use/epoch stamps within the counters, empty
-     * ways fully reset, and the occupancy bitmap set exactly on the
-     * occupied ways.
+     * Audit structural invariants (sim/validate.hh) in O(live +
+     * ways/64): the bitmap holds no bit past the way count, the rank
+     * bases are the bitmap's running live counts and the packed
+     * arrays hold exactly that many entries and windows; per live
+     * entry, its tag hashes to its way's set and appears once in that
+     * set, its successor count is within capacity and its successors
+     * are duplicate-free, and its use/epoch stamps are within the
+     * counters.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -210,9 +235,9 @@ class BlockCorrelationTable
 
   private:
     /**
-     * One way of one set. Fixed-size: the successor list lives in
-     * the table-wide succSlab_, window [way*numSuccs, way*numSuccs +
-     * succCount), MRU first.
+     * One live entry. Fixed-size: the successor list is window
+     * [i*numSuccs, i*numSuccs + succCount) of succs_ for the entry
+     * at packed index i, MRU first.
      */
     struct Entry {
         mem::BlockId tag = uvm::kNoBlock;
@@ -221,40 +246,57 @@ class BlockCorrelationTable
         std::uint32_t succCount = 0;
     };
 
+    /** "No entry" for probes. */
+    static constexpr EntryIndex kNoEntry = ~EntryIndex(0);
+
     /** Map @p b to its set index. */
     std::size_t setIndex(mem::BlockId b) const;
 
-    /** Successor window of the way at slab index @p way. */
-    mem::BlockId *succsOf(std::size_t way)
+    /** Packed index of @p b's entry, or kNoEntry. On a hit @p way is
+     * the entry's way. */
+    EntryIndex find(mem::BlockId b, std::size_t &way) const;
+
+    /** find() when the way is not needed. */
+    EntryIndex
+    find(mem::BlockId b) const
     {
-        return &succSlab_[way * cfg_.numSuccs];
-    }
-    const mem::BlockId *succsOf(std::size_t way) const
-    {
-        return &succSlab_[way * cfg_.numSuccs];
+        std::size_t way = 0;
+        return find(b, way);
     }
 
     /**
-     * Shared lookup for both constnesses: probes @p self's set for
-     * @p b, propagating const through the deduced entry pointer (no
-     * const_cast).
+     * Set bits in @p x. Spelled out because the baseline x86-64
+     * target has no POPCNT instruction, and __builtin_popcountll
+     * becomes a libgcc call there.
      */
-    template <typename SelfT>
-    static auto
-    findEntry(SelfT &self, mem::BlockId b)
-        -> decltype(&self.entries_[0])
+    static EntryIndex
+    countBits(std::uint64_t x)
     {
-        auto *base = &self.entries_[self.setIndex(b) * self.cfg_.assoc];
-        for (std::uint32_t w = 0; w < self.cfg_.assoc; ++w) {
-            if (base[w].tag == b)
-                return &base[w];
-        }
-        return nullptr;
+        x -= (x >> 1) & 0x5555555555555555ULL;
+        x = (x & 0x3333333333333333ULL) +
+            ((x >> 2) & 0x3333333333333333ULL);
+        x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+        return static_cast<EntryIndex>((x * 0x0101010101010101ULL) >> 56);
     }
 
-    /** Find @p b's entry in its set, or nullptr. */
-    Entry *find(mem::BlockId b);
-    const Entry *find(mem::BlockId b) const;
+    /** Packed index of the entry of occupied (or to-be-filled) @p way:
+     * the live entries at lower ways. */
+    EntryIndex
+    rankOf(std::size_t way) const
+    {
+        return rankBase_[way >> 6] +
+               countBits(occupied_[way >> 6] & (wayBit(way) - 1));
+    }
+
+    /** Successor window of the entry at packed index @p i. */
+    mem::BlockId *succsOf(EntryIndex i)
+    {
+        return &succs_[std::size_t(i) * cfg_.numSuccs];
+    }
+    const mem::BlockId *succsOf(EntryIndex i) const
+    {
+        return &succs_[std::size_t(i) * cfg_.numSuccs];
+    }
 
     /** Bit of way @p way within its occupancy word. */
     static std::uint64_t
@@ -263,25 +305,23 @@ class BlockCorrelationTable
         return std::uint64_t(1) << (way & 63);
     }
 
-    /** Mark the way at slab index @p way occupied. */
-    void
-    markOccupied(std::size_t way)
+    bool
+    isOccupied(std::size_t way) const
     {
-        occupied_[way >> 6] |= wayBit(way);
-    }
-
-    /** Reset the way at slab index @p way to the empty state. */
-    void
-    resetWay(std::size_t way)
-    {
-        entries_[way] = Entry{};
-        occupied_[way >> 6] &= ~wayBit(way);
+        return (occupied_[way >> 6] & wayBit(way)) != 0;
     }
 
     /**
-     * Call @p fn(way) for every occupied way in ascending slab
-     * order. Each word is copied before its bits are walked, so
-     * @p fn may reset the way it is given.
+     * Fill empty @p way with a reset entry at packed index @p i
+     * (== rankOf(way)). The only place the packed arrays grow, through
+     * support::insertAmortized().
+     */
+    DEEPUM_NOALLOC void growEntries(std::size_t way, EntryIndex i);
+
+    /**
+     * Call @p fn(way) for every occupied way in ascending order. Each
+     * word is copied before its bits are walked, so @p fn may clear
+     * the bit of the way it is given.
      */
     template <typename Fn>
     void
@@ -296,10 +336,13 @@ class BlockCorrelationTable
     }
 
     BlockTableConfig cfg_;
-    std::vector<Entry> entries_;        ///< numRows * assoc, set-major
-    std::vector<mem::BlockId> succSlab_; ///< numRows*assoc*numSuccs
-    /** Bit i set exactly when entries_[i] holds a tag; 64 ways/word. */
+    /** Bit i set exactly when way i holds an entry; 64 ways/word. */
     std::vector<std::uint64_t> occupied_;
+    /** Per occupancy word, the live entries in the earlier words. A
+     * live count fits 32 bits: 2^32 entries would be 96 GiB. */
+    std::vector<EntryIndex> rankBase_;
+    std::vector<Entry> entries_;       ///< live entries, way order
+    std::vector<mem::BlockId> succs_;  ///< entries_.size() * numSuccs
     mem::BlockId start_ = uvm::kNoBlock;
     mem::BlockId end_ = uvm::kNoBlock;
     std::uint64_t useClock_ = 0;
@@ -344,7 +387,7 @@ class BlockCorrelationTableSet
     /** Number of allocated tables. */
     std::size_t tableCount() const { return count_; }
 
-    /** Total bytes across all allocated tables (paper Table 4). */
+    /** Table-4 bytes across all allocated tables (sizeBytes()). */
     std::uint64_t totalSizeBytes() const;
 
     /** eraseRange() on every allocated table (UM range freed). */

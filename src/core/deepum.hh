@@ -44,7 +44,10 @@ class DeepUm : public uvm::DriverListener
      */
     void notifyKernelLaunch(ExecId id);
 
-    /** Total correlation-table memory (paper Table 4). */
+    /**
+     * Total correlation-table size at full geometry (paper Table 4):
+     * a fidelity number, not host memory (see sizeBytes()).
+     */
     std::uint64_t tableBytes() const;
 
     const DeepUmConfig &config() const { return cfg_; }

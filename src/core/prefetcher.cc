@@ -238,12 +238,15 @@ Prefetcher::enterKernelTable(std::size_t slot)
         return;
     // Issue every live entry of the kernel's table, not only the
     // start component: blocks covered by prefetching stop faulting
-    // and would otherwise fall out of the chain (see freshTags()).
-    bt->freshTags(kFreshEpochWindow, freshScratch_);
-    for (mem::BlockId t : freshScratch_) {
+    // and would otherwise fall out of the chain (see freshEntries()).
+    // issue() never touches a table, so the swept indices stay valid
+    // and each entry is stamped without a second probe.
+    bt->freshEntries(kFreshEpochWindow, freshScratch_);
+    for (BlockCorrelationTable::EntryIndex e : freshScratch_) {
+        mem::BlockId t = bt->tagAt(e);
         if (!markSeen(t))
             continue;
-        bt->refresh(t);
+        bt->refreshAt(e);
         issue(slot, t);
         support::pushAmortized(walk_, t);
         if (budget_ == 0)
@@ -308,14 +311,13 @@ Prefetcher::runChain()
             ++chainDeadNoTable_;
             return;
         }
-        // A visited entry is live: keep it in the fresh window even
-        // when prefetching keeps it from ever faulting again.
-        bt->refresh(p);
-        // The view aliases the table's successor slab. issue() only
-        // pushes into the driver's queue and the protection stamps —
-        // it never touches the block tables — so iterating the slab
-        // in place is safe; no defensive copy.
-        SuccView succs = bt->successors(p);
+        // A visited entry is live: visit() stamps it in the fresh
+        // window even when prefetching keeps it from ever faulting
+        // again. The view aliases the table's packed successor array.
+        // issue() only pushes into the driver's queue and the
+        // protection stamps — it never touches the block tables — so
+        // iterating the array in place is safe; no defensive copy.
+        SuccView succs = bt->visit(p);
         bool end_met = false;
         for (mem::BlockId s : succs) {
             if (!markSeen(s))

@@ -20,13 +20,15 @@
  * the O(1) per-activation clear), and the protection probe the
  * eviction policy hits per LRU step is one array read and a compare.
  *
- * The steady-state chain walk is allocation-free: the prediction
- * window is a fixed ring of exec IDs plus one stamp per block, the
- * walk queue is a reused vector consumed by index, successors() is a
- * view into the table's inline slab, the fresh-tag sweep fills a
- * reused scratch vector, and the pending completion ticks live in an
- * ExecId-indexed dense table whose per-exec vectors are drained with
- * clear() (capacity retained). That contract is machine-checked: the
+ * The steady-state chain walk is allocation-free and probes a table
+ * once per entry it touches: the prediction window is a fixed ring of
+ * exec IDs plus one stamp per block, the walk queue is a reused
+ * vector consumed by index, visit() stamps an entry and returns a
+ * view into the table's packed successor array, the fresh-entry sweep
+ * fills a reused scratch vector with entry indices that stamp their
+ * entries without a second probe, and the pending completion ticks
+ * live in an ExecId-indexed dense table whose per-exec vectors are
+ * drained with clear() (capacity retained). That contract is machine-checked: the
  * fault/chain entry points are DEEPUM_NOALLOC and tools/analyzer/
  * proves their call graphs reach allocation only through the
  * documented DEEPUM_ALLOC_OK hatches (scratch growth, amortized
@@ -328,8 +330,8 @@ class Prefetcher
      * walkHead_ (FIFO without deque segment churn). */
     std::vector<mem::BlockId> walk_;
     std::size_t walkHead_ = 0;
-    /** Scratch for the fresh-tag sweep (reused across activations). */
-    std::vector<mem::BlockId> freshScratch_;
+    /** Scratch for the fresh-entry sweep (reused across activations). */
+    std::vector<BlockCorrelationTable::EntryIndex> freshScratch_;
     /** Epoch-stamped walk dedupe, keyed by slab index. */
     std::vector<std::uint64_t> seenEpoch_;
     std::uint64_t seenGen_ = 1;      ///< current walk generation

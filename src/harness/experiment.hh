@@ -112,7 +112,8 @@ struct RunResult {
     std::uint64_t bytesDtoHPerIter = 0;
     sim::Tick computeTicksPerIter = 0;
 
-    std::uint64_t tableBytes = 0; ///< DeepUM correlation tables
+    /** DeepUM correlation tables at full geometry (paper Table 4). */
+    std::uint64_t tableBytes = 0;
 
     /** Provenance-ledger summary (enabled == false when off). */
     uvm::LedgerSummary ledger;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace deepum::harness {
 
 namespace {
@@ -17,11 +19,18 @@ ParallelRunner::inWorker()
     return tls_in_worker;
 }
 
-ParallelRunner::ParallelRunner(unsigned jobs)
-    : jobs_(jobs != 0
-                ? jobs
-                : std::max(1u, std::thread::hardware_concurrency()))
+unsigned
+hardwareJobs()
 {
+    return std::clamp(std::thread::hardware_concurrency(), 1u, kMaxJobs);
+}
+
+ParallelRunner::ParallelRunner(unsigned jobs)
+    : jobs_(jobs != 0 ? jobs : hardwareJobs())
+{
+    if (jobs_ > kMaxJobs)
+        sim::panic("ParallelRunner: %u jobs requested, at most %u",
+                   jobs_, kMaxJobs);
     // The calling thread is worker #0; spawn the rest.
     workers_.reserve(jobs_ - 1);
     for (unsigned i = 1; i < jobs_; ++i)

@@ -31,6 +31,16 @@
 namespace deepum::harness {
 
 /**
+ * Most workers a ParallelRunner takes. Its constructor starts every
+ * worker at once, so a wrapped or mistyped count is refused rather
+ * than obeyed; the CLIs parse `--jobs` against the same bound.
+ */
+inline constexpr unsigned kMaxJobs = 1024;
+
+/** One job per hardware thread, within [1, kMaxJobs] (`--jobs 0`). */
+unsigned hardwareJobs();
+
+/**
  * A fixed-size thread pool running one index-sharded job at a time.
  *
  * The calling thread participates in the work, so ParallelRunner(1)
@@ -46,7 +56,8 @@ class ParallelRunner
 {
   public:
     /**
-     * @param jobs worker count; 0 means one per hardware thread.
+     * @param jobs worker count; 0 means hardwareJobs(). Panics above
+     * kMaxJobs, before starting any worker.
      */
     explicit ParallelRunner(unsigned jobs = 0);
     ~ParallelRunner();

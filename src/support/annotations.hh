@@ -33,6 +33,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #if defined(__clang__) && !defined(DEEPUM_NO_ANNOTATIONS)
@@ -79,6 +80,21 @@ inline void
 pushAmortized(std::vector<T> &v, U &&x)
 {
     v.push_back(static_cast<U &&>(x));
+}
+
+/**
+ * Insert @p n copies of @p x at index @p pos of a vector that is never
+ * shrunk by reallocation (erase keeps capacity): the middle-insert
+ * counterpart of pushAmortized(), with the same hatch. The
+ * correlation tables' packed entry arrays grow through it.
+ */
+template <typename T>
+DEEPUM_ALLOC_OK("amortized growth toward a retained high-water capacity")
+inline void
+insertAmortized(std::vector<T> &v, std::size_t pos, std::size_t n,
+                const T &x)
+{
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(pos), n, x);
 }
 
 } // namespace deepum::support

@@ -4,10 +4,12 @@
  * tests/test_block_store.cpp: long random op sequences against
  * trivially-correct reference models (maps and plain vectors), with
  * the tables' own invariant audits interleaved. Exercises the parts
- * the slab layout makes subtle — set-conflict LRU replacement, MRU
- * reordering at successor capacity, range erasure compaction — plus
- * the SuccView lifetime contract and the allocation-free guarantee
- * of the steady-state record/lookup paths.
+ * the packed layout makes subtle — rank bases kept across inserts
+ * and erases, set-conflict LRU replacement, MRU reordering at
+ * successor capacity, range erasure compaction, stamping by swept
+ * index — plus the SuccView lifetime contract, the construction
+ * footprint, and the allocation-free guarantee of the steady-state
+ * record/lookup paths.
  */
 
 #include <gtest/gtest.h>
@@ -47,25 +49,36 @@ namespace {
 // ---------------------------------------------------------------
 
 std::size_t g_allocs = 0;
+std::size_t g_alloc_bytes = 0;
 bool g_count_allocs = false;
 
 struct AllocWindow {
     AllocWindow()
     {
         g_allocs = 0;
+        g_alloc_bytes = 0;
         g_count_allocs = true;
     }
     ~AllocWindow() { g_count_allocs = false; }
     std::size_t count() const { return g_allocs; }
+    std::size_t bytes() const { return g_alloc_bytes; }
 };
+
+void
+countAlloc(std::size_t n)
+{
+    if (g_count_allocs) {
+        ++g_allocs;
+        g_alloc_bytes += n;
+    }
+}
 
 } // namespace
 
 void *
 operator new(std::size_t n)
 {
-    if (g_count_allocs)
-        ++g_allocs;
+    countAlloc(n);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -74,8 +87,7 @@ operator new(std::size_t n)
 void *
 operator new[](std::size_t n)
 {
-    if (g_count_allocs)
-        ++g_allocs;
+    countAlloc(n);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -278,6 +290,16 @@ struct RefTable {
     }
 };
 
+/** Require @p got to list @p want, in order. */
+void
+expectSuccs(SuccView got, const std::vector<mem::BlockId> &want,
+            mem::BlockId b)
+{
+    ASSERT_EQ(got.size(), want.size()) << "block " << b;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "block " << b << " slot " << i;
+}
+
 /** Compare every block the model knows (and misses) to the table. */
 void
 compareAll(const BlockCorrelationTable &t, RefTable &m,
@@ -294,18 +316,16 @@ compareAll(const BlockCorrelationTable &t, RefTable &m,
             ASSERT_TRUE(got.empty()) << "block " << b;
             continue;
         }
-        ASSERT_EQ(got.size(), e->succs.size()) << "block " << b;
-        for (std::size_t i = 0; i < got.size(); ++i)
-            ASSERT_EQ(got[i], e->succs[i]) << "block " << b
-                                           << " slot " << i;
+        ASSERT_NO_FATAL_FAILURE(expectSuccs(got, e->succs, b));
     }
     audit(t);
 }
 
 /**
  * Drive the table and the model through one long random op sequence
- * — record, erase, eraseRange, refresh, captureStartEnd — comparing
- * them at regular checkpoints.
+ * — record, erase, eraseRange, refresh, the chain walk's fused visit,
+ * stamping a fresh sweep by index, captureStartEnd — comparing them
+ * at regular checkpoints.
  */
 void
 matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
@@ -314,29 +334,53 @@ matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
     BlockCorrelationTable t(cfg);
     RefTable m(cfg);
     sim::Rng rng(seed);
+    std::vector<BlockCorrelationTable::EntryIndex> fresh;
 
     for (int step = 0; step < 8000; ++step) {
         std::uint64_t op = rng.below(100);
-        if (op < 70) {
+        if (op < 64) {
             mem::BlockId prev = rng.below(universe);
             mem::BlockId next = rng.below(universe);
             t.record(prev, next);
             m.record(prev, next);
-        } else if (op < 78) {
+        } else if (op < 72) {
             mem::BlockId b = rng.below(universe);
             t.erase(b);
             m.erase(b);
-        } else if (op < 85) {
+        } else if (op < 79) {
             mem::BlockId first = rng.below(universe);
             mem::BlockId end =
                 std::min<mem::BlockId>(first + 1 + rng.below(8),
                                        universe);
             t.eraseRange(first, end);
             m.eraseRange(first, end);
-        } else if (op < 95) {
+        } else if (op < 86) {
             mem::BlockId b = rng.below(universe);
             t.refresh(b);
             m.refresh(b);
+        } else if (op < 91) {
+            // The chain walk's visit: refresh, then successors.
+            mem::BlockId b = rng.below(universe);
+            SuccView got = t.visit(b);
+            m.refresh(b);
+            const RefEntry *e = m.find(b);
+            ASSERT_NO_FATAL_FAILURE(expectSuccs(
+                got, e != nullptr ? e->succs : std::vector<mem::BlockId>{},
+                b));
+        } else if (op < 95) {
+            // Kernel entry: sweep the fresh entries, then stamp a
+            // random subset by index, in sweep order.
+            std::uint32_t window = static_cast<std::uint32_t>(rng.below(5));
+            t.freshEntries(window, fresh);
+            std::vector<mem::BlockId> want = m.freshTags(window);
+            ASSERT_EQ(fresh.size(), want.size());
+            for (std::size_t k = 0; k < fresh.size(); ++k) {
+                ASSERT_EQ(t.tagAt(fresh[k]), want[k]) << "fresh " << k;
+                if (rng.below(2) != 0) {
+                    t.refreshAt(fresh[k]);
+                    m.refresh(want[k]);
+                }
+            }
         } else {
             // Only the epoch bump matters to the model; start/end
             // pointers do not feed the slab.
@@ -344,9 +388,10 @@ matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
                               static_cast<std::uint32_t>(rng.below(16)));
             ++m.epoch;
         }
-        if (step % 97 == 0)
+        if (step % 97 == 0) {
             ASSERT_NO_FATAL_FAILURE(compareAll(t, m, universe))
                 << "step " << step;
+        }
     }
     ASSERT_NO_FATAL_FAILURE(compareAll(t, m, universe));
     EXPECT_GT(m.epoch, 100u); // the windows were exercised
@@ -402,47 +447,91 @@ TEST(CorrelationDense, MruReorderAtCapacityMatchesModel)
     audit(t);
 }
 
-TEST(CorrelationDense, SuccViewStaysValidAcrossRecord)
+TEST(CorrelationDense, SuccViewTracksItsEntryUntilAnInsert)
 {
-    // The view aliases the table's stable slab: records into the
-    // same entry are *observed* by a held view (same storage), and
-    // the data pointer never moves.
+    // A view points into the packed successor array. While no entry
+    // is inserted or erased, records into existing entries only
+    // rotate successors in place, and a held view sees them. Tag 9
+    // maps to set 3 and tag 2 to set 2 of this 4 x 2 table.
     BlockTableConfig cfg{4, 2, 4};
     BlockCorrelationTable t(cfg);
-    t.record(5, 1);
-    SuccView v = t.successors(5);
+    RefTable m(cfg);
+    auto both = [&](mem::BlockId prev, mem::BlockId next) {
+        t.record(prev, next);
+        m.record(prev, next);
+    };
+    both(9, 1);
+    both(2, 1); // both tags live before the view is taken
+    SuccView v = t.successors(9);
     ASSERT_EQ(v.size(), 1u);
-    const mem::BlockId *stable = v.begin();
-    // Churn block 5's own entry (MRU rotation at capacity) and one
-    // other entry; the 2-way set fits both tags, so no eviction.
     for (mem::BlockId n = 2; n < 100; ++n)
-        t.record(n % 2 ? 5 : 6, n);
-    t.record(5, 42);
-    SuccView after = t.successors(5);
-    EXPECT_EQ(after.begin(), stable); // storage never moved
-    EXPECT_EQ(after.front(), 42u);    // and the view sees updates
-    EXPECT_EQ(v.begin()[0], 42u);
+        both(n % 2 ? 9 : 2, n);
+    both(9, 42);
+    EXPECT_EQ(t.entryCount(), 2u); // no insert happened
+    EXPECT_EQ(v.begin(), t.successors(9).begin());
+    EXPECT_EQ(v.front(), 42u); // the held view sees the MRU update
+
+    // Tags 3, 10 and 11 fill ways of sets 0 and 1, ahead of tag 9's
+    // entry in way order, so its successor window moves; successors()
+    // taken afterwards returns the updated list.
+    for (mem::BlockId b : {3, 10, 11})
+        both(b, b + 100);
+    both(9, 43);
+    EXPECT_EQ(t.entryCount(), 5u);
+    ASSERT_NO_FATAL_FAILURE(expectSuccs(t.successors(9),
+                                        m.find(9)->succs, 9));
+    audit(t);
+}
+
+TEST(CorrelationDense, ConstructionAllocatesBitmapAndRankBasesOnly)
+{
+    // The default geometry: 2048 x 2 ways of 4 successors, 224.5 KiB
+    // of Table-4 storage. The host builds 64 bitmap words and 64 rank
+    // bases (768 B); entries arrive with records.
+    BlockTableConfig cfg{2048, 2, 4};
+    std::size_t bytes = 0;
+    {
+        AllocWindow w;
+        BlockCorrelationTable t(cfg);
+        bytes = w.bytes();
+        EXPECT_EQ(t.entryCount(), 0u);
+        EXPECT_EQ(t.sizeBytes(), 2048u * 2 * (8 + 8 + 4 * 8) + 16);
+    }
+    EXPECT_LE(bytes, 1024u);
 }
 
 TEST(CorrelationDense, SteadyStateRecordPathDoesNotAllocate)
 {
     BlockTableConfig cfg{64, 2, 4};
-    BlockCorrelationTable t(cfg); // slabs sized here, once
-    std::vector<mem::BlockId> scratch;
-    scratch.reserve(std::size_t(cfg.numRows) * cfg.assoc);
+    const std::size_t ways = std::size_t(cfg.numRows) * cfg.assoc;
+    BlockCorrelationTable t(cfg);
+    std::vector<BlockCorrelationTable::EntryIndex> scratch;
+    scratch.reserve(ways);
 
-    AllocWindow w;
-    std::uint64_t sink = 0;
-    for (int i = 0; i < 20000; ++i) {
+    // Warm-up: 512 tags over 128 ways fill every way, so the packed
+    // arrays reach their largest size; after it every miss replaces.
+    auto step = [&](int i, std::uint64_t &sink) {
         mem::BlockId prev = i % 512;
         t.record(prev, (prev + 1) % 512);
         for (mem::BlockId s : t.successors(prev))
             sink += s;
+        for (mem::BlockId s : t.visit((prev + 7) % 512))
+            sink += s;
         if (i % 64 == 0) {
-            t.freshTags(4, scratch);
+            t.freshEntries(4, scratch);
+            for (BlockCorrelationTable::EntryIndex e : scratch)
+                t.refreshAt(e);
             sink += scratch.size();
         }
-    }
+    };
+    std::uint64_t sink = 0;
+    for (int i = 0; i < 512; ++i)
+        step(i, sink);
+    ASSERT_EQ(t.entryCount(), ways);
+
+    AllocWindow w;
+    for (int i = 0; i < 20000; ++i)
+        step(i, sink);
     EXPECT_EQ(w.count(), 0u) << "sink=" << sink;
 }
 

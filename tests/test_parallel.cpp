@@ -47,6 +47,16 @@ TEST(ParallelRunner, SingleJobRunsInline)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(ParallelRunner, RefusesMoreThanMaxJobsUpFront)
+{
+    // The constructor starts every worker at once; above the bound it
+    // panics before starting any. 0 means one job per hardware thread.
+    EXPECT_DEATH(ParallelRunner pool(harness::kMaxJobs + 1),
+                 "1025 jobs requested, at most 1024");
+    ParallelRunner pool(0);
+    EXPECT_EQ(pool.jobs(), harness::hardwareJobs());
+}
+
 TEST(ParallelRunner, EveryIndexRunsExactlyOnce)
 {
     ParallelRunner pool(3);
