@@ -53,7 +53,7 @@ Runtime::launchKernel(gpu::KernelInfo *k, sim::EventFn on_done)
         k->execId = id;
         deepum_->notifyKernelLaunch(id);
     }
-    engine_.launch(k, std::move(on_done));
+    engine_.launch(k, on_done);
 }
 
 } // namespace deepum::core

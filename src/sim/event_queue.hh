@@ -2,12 +2,20 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Events are small-buffer inline callables (sim/inline_fn.hh — no
- * heap allocation for the captures the simulator schedules) ordered
- * by (tick, sequence number); the sequence number makes simultaneous
- * events run in scheduling order, so identical inputs always produce
- * identical simulations. This is the spine every simulated component
- * (GPU, driver threads, PCIe link) hangs off.
+ * Events are EventFn callables, ordered by (tick, sequence number);
+ * the sequence number makes simultaneous events run in scheduling
+ * order, so identical inputs always produce identical simulations.
+ * This is the spine every simulated component (GPU, driver threads,
+ * PCIe link) hangs off.
+ *
+ * An EventFn is one invoke pointer plus two words of captures, and
+ * it accepts only trivially copyable, trivially destructible
+ * closures. Every simulated thread is an actor with at most one
+ * pending event, so what that event needs lives in the actor and the
+ * event captures `this` (uvm::Driver keeps its in-flight fault batch
+ * and migration). A queue entry is then a trivially copyable 40-byte
+ * record: heap moves are plain copies, and dispatch never destroys
+ * or frees anything.
  *
  * Internally the queue is a binary min-heap: the benchmark workloads
  * never hold more than two pending events, so a cleverer structure
@@ -16,11 +24,13 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <new>
+#include <type_traits>
 #include <vector>
 
-#include "sim/inline_fn.hh"
 #include "sim/types.hh"
 #include "support/annotations.hh"
 
@@ -29,8 +39,39 @@ namespace deepum::sim {
 class CheckContext;
 class Tracer;
 
-/** Callback type executed when an event fires. */
-using EventFn = InlineFn;
+/**
+ * Callback executed when an event fires: an invoke pointer and up to
+ * two words of captures, copied bit for bit. Closures that need more
+ * state keep it in their owner and capture `this`.
+ */
+class EventFn
+{
+  public:
+    /** Bytes of captures a closure may carry. */
+    static constexpr std::size_t kCaptureBytes = 2 * sizeof(void *);
+
+    EventFn() = default;
+
+    /** Wrap @p f; only small, trivially copyable closures qualify. */
+    template <typename F>
+        requires(std::is_invocable_r_v<void, F &> &&
+                 std::is_trivially_copyable_v<F> &&
+                 std::is_trivially_destructible_v<F> &&
+                 sizeof(F) <= kCaptureBytes &&
+                 alignof(F) <= alignof(void *))
+    EventFn(F f) noexcept // NOLINT: implicit like std::function
+        : invoke_([](void *captures) { (*static_cast<F *>(captures))(); })
+    {
+        ::new (static_cast<void *>(captures_)) F(f);
+    }
+
+    /** Invoke the wrapped closure; must not be empty. */
+    void operator()() { invoke_(captures_); }
+
+  private:
+    void (*invoke_)(void *) = nullptr;
+    alignas(void *) unsigned char captures_[kCaptureBytes] = {};
+};
 
 /**
  * A min-heap of timed callbacks with a deterministic tie-break.
@@ -55,7 +96,7 @@ class EventQueue
     void schedule(Tick when, EventFn fn);
 
     /** Schedule @p fn @p delay ticks from now. */
-    void scheduleIn(Tick delay, EventFn fn) { schedule(curTick_ + delay, std::move(fn)); }
+    void scheduleIn(Tick delay, EventFn fn) { schedule(curTick_ + delay, fn); }
 
     /** @return true if no events remain. */
     bool empty() const { return heap_.empty(); }
@@ -77,11 +118,11 @@ class EventQueue
      * @return the final simulated time.
      *
      * The pop/dispatch machinery is DEEPUM_NOALLOC: draining the
-     * queue never allocates (heap pops are in place, invoking the
-     * inline callable is one indirect call). The
-     * contract covers the queue itself, not the dispatched closure
-     * bodies — those are type-erased and audited at their own
-     * definition sites.
+     * queue never allocates (heap pops copy entries in place,
+     * invoking the callable is one indirect call). The contract
+     * covers the queue itself, not the dispatched closure bodies —
+     * those are reached through a function pointer and audited at
+     * their own definition sites.
      */
     DEEPUM_NOALLOC Tick run(std::uint64_t limit = ~std::uint64_t(0));
 
@@ -120,13 +161,14 @@ class EventQueue
     /** Stream a summary of the queue internals (for violation dumps). */
     void dumpState(std::ostream &os) const;
 
-  private:
+    /** One pending event; a plain record, so heap moves copy it. */
     struct Entry {
         Tick when;
         std::uint64_t seq;
         EventFn fn;
     };
 
+  private:
     /** True when @p a fires after @p b (the (tick, seq) contract). */
     static bool
     later(const Entry &a, const Entry &b)

@@ -45,7 +45,7 @@ class SimObject
     void
     scheduleIn(Tick delay, EventFn fn)
     {
-        eq_.scheduleIn(delay, std::move(fn));
+        eq_.scheduleIn(delay, fn);
     }
 
   private:

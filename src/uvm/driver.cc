@@ -298,9 +298,12 @@ void
 Driver::handleFaults()
 {
     faultHandlerPending_ = false;
-    auto entries = fb_.drain();
+    const std::vector<gpu::FaultEntry> &entries = fb_.entries();
     if (entries.empty())
         return;
+    if (!batch_.empty())
+        sim::panic("fault batch drained while the previous batch is "
+                   "still in preprocessing");
 
     ++faultBatches_;
 
@@ -311,7 +314,6 @@ Driver::handleFaults()
     if (faultSeen_.size() < store_.slabSize())
         faultSeen_.resize(store_.slabSize(), 0);
     ++faultEpoch_;
-    std::vector<mem::BlockId> ordered;
     std::uint64_t pages = 0;
     for (const auto &e : entries) {
         pages += e.pages;
@@ -321,16 +323,16 @@ Driver::handleFaults()
                        static_cast<unsigned long long>(e.block));
         if (faultSeen_[i] != faultEpoch_) {
             faultSeen_[i] = faultEpoch_;
-            ordered.push_back(e.block);
+            batch_.push_back(e.block);
         }
     }
     pageFaults_ += pages;
-    faultedBlocks_ += ordered.size();
-    faultBatchSize_.sample(ordered.size());
+    faultedBlocks_ += batch_.size();
+    faultBatchSize_.sample(batch_.size());
 
     sim::Tick cost = cfg_.faultFetchPerEntry * entries.size() +
                      cfg_.faultPreprocessBase +
-                     cfg_.faultPreprocessPerBlock * ordered.size();
+                     cfg_.faultPreprocessPerBlock * batch_.size();
 
     if (auto *tr = eventq().tracer())
         tr->duration(sim::Track::FaultHandler, "faultBatch",
@@ -338,60 +340,58 @@ Driver::handleFaults()
                      {sim::Tracer::arg("entries",
                                        std::uint64_t(entries.size())),
                       sim::Tracer::arg("blocks",
-                                       std::uint64_t(ordered.size())),
+                                       std::uint64_t(batch_.size())),
                       sim::Tracer::arg("pages", pages)});
+    fb_.clear();
 
-    eventq().scheduleIn(cost, [this, ordered = std::move(ordered)] {
-        for (auto *l : listeners_)
-            l->onFaultBatch(ordered);
+    scheduleIn(cost, [this] { dispatchFaultBatch(); });
+}
 
-        for (mem::BlockId b : ordered) {
-            // Re-probe: a listener or a queued free may have dropped
-            // the block between drain and dispatch (other events run
-            // during the modelled preprocess delay), so a missing
-            // block is stale, not fatal — skip it.
-            BlockIndex i = store_.find(b);
-            if (i == kNoBlockIndex)
-                continue;
-            BlockInfo &bi = store_.at(i);
-            if (bi.loc == Loc::Device)
-                continue; // a prefetch landed it meanwhile
-            if (ledger_ != nullptr)
-                ledger_->onDemandFault(b, curTick());
-            if (!bi.pinned) {
-                bi.pinned = true;
-                ++pinnedCount_;
-            }
-            if (!bi.queuedFault) {
-                bool ok = faultQueue_.push(MigrateCmd{b, 0});
-                DEEPUM_ASSERT(ok, "fault queue overflow");
-                bi.queuedFault = true;
-            }
+void
+Driver::dispatchFaultBatch()
+{
+    for (auto *l : listeners_)
+        l->onFaultBatch(batch_);
+
+    for (mem::BlockId b : batch_) {
+        // Re-probe: a listener or a queued free may have dropped
+        // the block between drain and dispatch (other events run
+        // during the modelled preprocess delay), so a missing
+        // block is stale, not fatal — skip it.
+        BlockIndex i = store_.find(b);
+        if (i == kNoBlockIndex)
+            continue;
+        BlockInfo &bi = store_.at(i);
+        if (bi.loc == Loc::Device)
+            continue; // a prefetch landed it meanwhile
+        if (ledger_ != nullptr)
+            ledger_->onDemandFault(b, curTick());
+        if (!bi.pinned) {
+            bi.pinned = true;
+            ++pinnedCount_;
         }
-        if (auto *tr = eventq().tracer())
-            tr->counter(sim::Track::FaultHandler, "faultQueueDepth",
-                        curTick(), faultQueue_.size());
-        DEEPUM_VALIDATE_HOOK("fault-batch");
-
-        if (pinnedCount_ == 0) {
-            // Everything already resident: replay immediately.
-            if (engine_ != nullptr && engine_->stalled() &&
-                !replayPending_) {
-                replayPending_ = true;
-                scheduleIn(cfg_.replayLatency, [this] {
-                    replayPending_ = false;
-                    ++replaysSent_;
-                    engine_->replay();
-                });
-            }
-            return;
+        if (!bi.queuedFault) {
+            bool ok = faultQueue_.push(MigrateCmd{b, 0});
+            DEEPUM_ASSERT(ok, "fault queue overflow");
+            bi.queuedFault = true;
         }
+    }
+    batch_.clear();
+    if (auto *tr = eventq().tracer())
+        tr->counter(sim::Track::FaultHandler, "faultQueueDepth",
+                    curTick(), faultQueue_.size());
+    DEEPUM_VALIDATE_HOOK("fault-batch");
 
-        if (!migBusy_) {
-            migBusy_ = true;
-            scheduleIn(0, [this] { migrationStep(); });
-        }
-    });
+    if (pinnedCount_ == 0) {
+        // Everything already resident: replay immediately.
+        requestReplay();
+        return;
+    }
+
+    if (!migBusy_) {
+        migBusy_ = true;
+        scheduleIn(0, [this] { migrationStep(); });
+    }
 }
 
 void
@@ -400,16 +400,21 @@ Driver::resolveFault(mem::BlockId b)
     BlockIndex i = store_.find(b);
     if (i != kNoBlockIndex)
         unpin(store_.at(i));
-    if (pinnedCount_ != 0)
+    if (pinnedCount_ == 0)
+        requestReplay();
+}
+
+void
+Driver::requestReplay()
+{
+    if (engine_ == nullptr || !engine_->stalled() || replayPending_)
         return;
-    if (engine_ != nullptr && engine_->stalled() && !replayPending_) {
-        replayPending_ = true;
-        scheduleIn(cfg_.replayLatency, [this] {
-            replayPending_ = false;
-            ++replaysSent_;
-            engine_->replay();
-        });
-    }
+    replayPending_ = true;
+    scheduleIn(cfg_.replayLatency, [this] {
+        replayPending_ = false;
+        ++replaysSent_;
+        engine_->replay();
+    });
 }
 
 // --------------------------------------------------------------------
@@ -486,10 +491,10 @@ Driver::migrationStep()
         }
         bool ok = frames_.reserve(bi.pages);
         DEEPUM_ASSERT(ok, "frame reservation failed after makeRoom");
-        inFlightPages_ += bi.pages;
 
         bool htod = (bi.loc == Loc::Host);
         std::uint32_t pages = bi.pages;
+        inFlight_ = Migration{cmd, pages, demand, htod};
         if (htod) {
             std::uint64_t bytes = std::uint64_t(pages) * mem::kPageSize;
             // Fault-path migration moves fault-granularity chunks,
@@ -521,48 +526,48 @@ Driver::migrationStep()
                         prefetchQueue_.size());
         }
 
-        mem::BlockId b = cmd.block;
-        std::uint32_t exec_id = cmd.execId;
-        std::uint32_t depth = cmd.depth;
-        eventq().schedule(t, [this, b, demand, htod, pages, exec_id,
-                              depth] {
-            DEEPUM_ASSERT(inFlightPages_ >= pages,
-                          "in-flight page accounting underflow");
-            inFlightPages_ -= pages;
-            BlockIndex i = store_.find(b);
-            if (i == kNoBlockIndex) {
-                // Freed mid-flight: hand the frames back.
-                frames_.release(pages);
-            } else {
-                BlockInfo &info = store_.at(i);
-                info.loc = Loc::Device;
-                info.migrateSeq = ++migrateSeq_;
-                info.prefetched = !demand;
-                info.prefetchExecId = exec_id;
-                store_.lruPushBack(i);
-                if (htod) {
-                    ++migratedBlocks_;
-                    migratedPages_ += pages;
-                } else {
-                    ++zeroFillBlocks_;
-                }
-                if (!demand)
-                    ++prefetchCompleted_;
-                if (ledger_ != nullptr)
-                    ledger_->onArrival(
-                        b,
-                        demand ? ArrivalCause::DemandFault
-                               : ArrivalCause::Prefetch,
-                        exec_id, depth, curTick());
-                for (auto *l : listeners_)
-                    l->onBlockMigrated(b, !demand);
-                if (demand)
-                    resolveFault(b);
-            }
-            migrationStep();
-        });
+        eventq().schedule(t, [this] { finishMigration(); });
         return; // busy until the completion event fires
     }
+}
+
+void
+Driver::finishMigration()
+{
+    const Migration m = inFlight_;
+    DEEPUM_ASSERT(m.pages != 0, "no migration in flight");
+    inFlight_.pages = 0;
+    mem::BlockId b = m.cmd.block;
+    BlockIndex i = store_.find(b);
+    if (i == kNoBlockIndex) {
+        // Freed mid-flight: hand the frames back.
+        frames_.release(m.pages);
+    } else {
+        BlockInfo &info = store_.at(i);
+        info.loc = Loc::Device;
+        info.migrateSeq = ++migrateSeq_;
+        info.prefetched = !m.demand;
+        info.prefetchExecId = m.cmd.execId;
+        store_.lruPushBack(i);
+        if (m.htod) {
+            ++migratedBlocks_;
+            migratedPages_ += m.pages;
+        } else {
+            ++zeroFillBlocks_;
+        }
+        if (!m.demand)
+            ++prefetchCompleted_;
+        if (ledger_ != nullptr)
+            ledger_->onArrival(b,
+                               m.demand ? ArrivalCause::DemandFault
+                                        : ArrivalCause::Prefetch,
+                               m.cmd.execId, m.cmd.depth, curTick());
+        for (auto *l : listeners_)
+            l->onBlockMigrated(b, !m.demand);
+        if (m.demand)
+            resolveFault(b);
+    }
+    migrationStep();
 }
 
 bool
@@ -708,15 +713,15 @@ Driver::checkInvariants(sim::CheckContext &ctx) const
                     static_cast<unsigned long long>(b),
                     static_cast<unsigned long long>(bi.inactiveBytes));
     });
-    ctx.require(device_pages + inFlightPages_ == frames_.usedPages(),
+    ctx.require(device_pages + inFlight_.pages == frames_.usedPages(),
                 "frame accounting drift: %llu resident + %llu in "
                 "flight != %llu frames used",
                 static_cast<unsigned long long>(device_pages),
-                static_cast<unsigned long long>(inFlightPages_),
+                static_cast<unsigned long long>(inFlight_.pages),
                 static_cast<unsigned long long>(frames_.usedPages()));
-    ctx.require(migBusy_ || inFlightPages_ == 0,
+    ctx.require(migBusy_ || inFlight_.pages == 0,
                 "migration thread idle with %llu pages in flight",
-                static_cast<unsigned long long>(inFlightPages_));
+                static_cast<unsigned long long>(inFlight_.pages));
     ctx.require(store_.lruSize() == device_blocks,
                 "LRU list holds %zu blocks, %zu are resident",
                 store_.lruSize(), device_blocks);
@@ -755,7 +760,7 @@ Driver::dumpState(std::ostream &os) const
        << " lru=" << store_.lruSize() << " pinned=" << pinnedCount_
        << " faultQueue=" << faultQueue_.size()
        << " prefetchQueue=" << prefetchQueue_.size()
-       << " migBusy=" << migBusy_ << " inFlightPages=" << inFlightPages_
+       << " migBusy=" << migBusy_ << " inFlightPages=" << inFlight_.pages
        << " migrateSeq=" << migrateSeq_ << "}\n";
     os << "  frames: used=" << frames_.usedPages()
        << " free=" << frames_.freePages()

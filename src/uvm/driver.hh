@@ -15,6 +15,12 @@
  *  - the fault-handling thread (drain buffer -> fault queue, replay),
  *  - the migration thread (serves the fault queue first, then the
  *    prefetch queue; owns the PCIe link).
+ * Each has at most one pending event, so what that event needs is
+ * driver state, and every event captures `this` alone: the fault
+ * batch in preprocessing is batch_ (the GPU stalls until replay, so
+ * a second batch cannot be drained before the first is dispatched),
+ * and the migration whose completion is pending is inFlight_ (one
+ * at a time, migBusy_).
  *
  * Per-block metadata lives in a dense BlockStore (block_store.hh):
  * a block's slab index is its offset in the UM heap, the LRU is
@@ -203,11 +209,17 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     void onBlockAccess(mem::BlockId block) override;
 
   private:
-    /** Fault-handling thread body: fetch + preprocess + dispatch. */
+    /** Fault-handling thread body: fetch + preprocess batch_. */
     void handleFaults();
+
+    /** Preprocessing done: queue batch_'s faults, then clear it. */
+    void dispatchFaultBatch();
 
     /** Migration thread body: serve one command, then reschedule. */
     void migrationStep();
+
+    /** inFlight_'s transfer landed: map the block, then go on. */
+    void finishMigration();
 
     /**
      * Evict victims until @p pages frames are free.
@@ -222,6 +234,9 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
 
     /** A demand-faulted block became resident (or already was). */
     void resolveFault(mem::BlockId b);
+
+    /** Replay the stalled GPU after replayLatency (once). */
+    void requestReplay();
 
     /** Clear @p bi's pinned bit (no-op when clear). */
     void
@@ -254,10 +269,18 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     bool migBusy_ = false;
     bool replayPending_ = false;
     std::uint64_t migrateSeq_ = 0;
-    /** Frames reserved for migrations whose completion is in flight. */
-    std::uint64_t inFlightPages_ = 0;
     /** Blocks with the pinned bit set (outstanding demand faults). */
     std::uint64_t pinnedCount_ = 0;
+
+    /** The migration whose completion event is pending. */
+    struct Migration {
+        MigrateCmd cmd;
+        /** Frames reserved for it; 0 when none is in flight. */
+        std::uint32_t pages = 0;
+        bool demand = false;
+        bool htod = false; ///< a host copy, not a zero-fill
+    };
+    Migration inFlight_;
 
     /**
      * Epoch-stamped per-batch fault dedupe, keyed by slab index: a
@@ -266,6 +289,13 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
      */
     std::vector<std::uint64_t> faultSeen_;
     std::uint64_t faultEpoch_ = 0;
+
+    /**
+     * The deduped blocks of the fault batch in preprocessing, in
+     * first-fault order; empty otherwise. Reused, so it keeps its
+     * capacity.
+     */
+    std::vector<mem::BlockId> batch_;
 
     // Statistics (paper Table 5, Figure 10 inputs).
     sim::Scalar pageFaults_;

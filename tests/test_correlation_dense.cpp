@@ -17,14 +17,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "alloc_window.hh"
 #include "core/block_correlation_table.hh"
 #include "core/exec_correlation_table.hh"
 #include "sim/rng.hh"
@@ -39,83 +38,6 @@ static_assert(
     !std::is_reference_v<decltype(std::declval<const BlockCorrelationTable &>()
                                       .successors(mem::BlockId{}))>,
     "successors() must return a view by value");
-
-namespace {
-
-// ---------------------------------------------------------------
-// Global allocation counter, for the zero-allocation steady-state
-// tests. Counting is toggled so gtest's own bookkeeping between
-// tests never pollutes a measurement window.
-// ---------------------------------------------------------------
-
-std::size_t g_allocs = 0;
-std::size_t g_alloc_bytes = 0;
-bool g_count_allocs = false;
-
-struct AllocWindow {
-    AllocWindow()
-    {
-        g_allocs = 0;
-        g_alloc_bytes = 0;
-        g_count_allocs = true;
-    }
-    ~AllocWindow() { g_count_allocs = false; }
-    std::size_t count() const { return g_allocs; }
-    std::size_t bytes() const { return g_alloc_bytes; }
-};
-
-void
-countAlloc(std::size_t n)
-{
-    if (g_count_allocs) {
-        ++g_allocs;
-        g_alloc_bytes += n;
-    }
-}
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    countAlloc(n);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    countAlloc(n);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 

@@ -223,9 +223,9 @@ TEST(TimeSeries, DecimationDoublesIntervalAndKeepsTicksSorted)
     std::uint64_t n = 0;
     std::function<void()> chain = [&] {
         if (++n < 300)
-            eq.scheduleIn(1, chain);
+            eq.scheduleIn(1, [&chain] { chain(); });
     };
-    eq.scheduleIn(1, chain);
+    eq.scheduleIn(1, [&chain] { chain(); });
 
     sim::TimeSeriesSampler ts(eq, 1, /*max_samples=*/64);
     ts.addSeries("n", [&] { return n; });

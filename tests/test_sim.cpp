@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <queue>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,9 +66,9 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
     std::function<void()> chain = [&]() {
         ++fired;
         if (fired < 5)
-            eq.scheduleIn(10, chain);
+            eq.scheduleIn(10, [&chain] { chain(); });
     };
-    eq.schedule(0, chain);
+    eq.schedule(0, [&chain] { chain(); });
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -104,6 +106,34 @@ TEST(EventQueue, ClearDropsPending)
     eq.clear();
     eq.run();
     EXPECT_EQ(n, 0);
+}
+
+// A queue entry is a plain 40-byte record: heap moves copy it and
+// dispatch never destroys anything.
+static_assert(std::is_trivially_copyable_v<EventFn>);
+static_assert(std::is_trivially_copyable_v<EventQueue::Entry>);
+static_assert(sizeof(EventQueue::Entry) == 40);
+
+TEST(EventFn, AcceptsOnlyTwoWordTriviallyCopyableCaptures)
+{
+    std::uint64_t a = 1, b = 2, c = 3;
+    auto two_words = [&a, &b] { a += b; };
+    auto three_words = [&a, &b, &c] { a += b + c; };
+    std::function<void()> f = [] {};
+    auto holds_function = [f] { f(); };
+    auto shared = std::make_shared<int>(0);
+    auto holds_shared_ptr = [shared] { ++*shared; }; // two words
+    static_assert(std::is_constructible_v<EventFn, decltype(two_words)>);
+    static_assert(!std::is_constructible_v<EventFn, decltype(three_words)>);
+    static_assert(
+        !std::is_constructible_v<EventFn, decltype(holds_function)>);
+    static_assert(
+        !std::is_constructible_v<EventFn, decltype(holds_shared_ptr)>);
+
+    EventFn fn = two_words;
+    EventFn copy = fn;
+    copy();
+    EXPECT_EQ(a, 3u);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the UVM driver: range registration, the Figure-3
  * fault pipeline, least-recently-migrated eviction, the inactive
- * invalidation path, prefetch-queue priority, and pre-eviction.
+ * invalidation path, prefetch-queue priority, pre-eviction, and
+ * allocation-free steady-state fault handling.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "alloc_window.hh"
 #include "gpu/fault_buffer.hh"
 #include "gpu/gpu_engine.hh"
 #include "gpu/pcie_link.hh"
@@ -220,6 +222,64 @@ TEST(UvmDriver, DroppedBlockBetweenDrainAndDispatchIsSkipped)
     EXPECT_EQ(w.stats.get("uvm.faultedBlocks"), 2u);
     EXPECT_EQ(w.stats.get("uvm.migratedBlocks"), 0u);
     EXPECT_FALSE(w.drv.knowsBlock(b0));
+}
+
+TEST(UvmDriverDeath, SecondBatchDuringPreprocessingPanics)
+{
+    // The GPU stalls until replay, so it never raises a batch while
+    // the previous one is in preprocessing; the driver keeps that one
+    // batch as its own state and refuses a second.
+    World w;
+    mem::BlockId b0 = mem::blockOf(w.reg(2));
+    w.fb.push(gpu::FaultEntry{b0, 512, false, 0});
+    w.drv.faultInterrupt();
+    // The first batch drains at faultInterruptLatency and dispatches
+    // at least faultPreprocessBase later; the second drains between.
+    w.eq.schedule(w.cfg.faultInterruptLatency + 1, [&w, b0] {
+        w.fb.push(gpu::FaultEntry{b0 + 1, 512, false, 0});
+        w.drv.faultInterrupt();
+    });
+    EXPECT_DEATH(w.eq.run(), "previous batch is still in preprocessing");
+}
+
+TEST(UvmDriver, SteadyStateFaultHandlingDoesNotAllocate)
+{
+    World w;
+    mem::BlockId b0 = mem::blockOf(w.reg(8));
+    // Two kernels over disjoint halves of 8 blocks on the 4-block
+    // GPU: each launch faults its 4 blocks in one batch, migrates
+    // them, and evicts the other kernel's.
+    gpu::KernelInfo kernels[2];
+    for (int k = 0; k < 2; ++k) {
+        kernels[k].name = "half";
+        kernels[k].computeNs = 100 * sim::kUsec;
+        for (int i = 0; i < 4; ++i)
+            kernels[k].accesses.push_back(
+                gpu::BlockAccess{b0 + 4 * k + i, 512, false});
+    }
+    int done = 0;
+    auto launch = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            w.engine.launch(&kernels[i % 2], [&done] { ++done; });
+            w.eq.run();
+        }
+    };
+    launch(2); // warm-up: first touch sizes the reused storage
+
+    auto batches = w.stats.get("uvm.faultBatches");
+    auto migrated = w.stats.get("uvm.migratedBlocks");
+    auto evicted = w.stats.get("uvm.demandEvictions");
+    std::size_t allocs = 0;
+    {
+        AllocWindow window;
+        launch(8);
+        allocs = window.count();
+    }
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(done, 10);
+    EXPECT_EQ(w.stats.get("uvm.faultBatches") - batches, 8u);
+    EXPECT_EQ(w.stats.get("uvm.migratedBlocks") - migrated, 32u);
+    EXPECT_EQ(w.stats.get("uvm.demandEvictions") - evicted, 32u);
 }
 
 TEST(UvmDriver, EvictionIsLeastRecentlyMigrated)
