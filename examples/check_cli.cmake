@@ -3,8 +3,9 @@
 #   -DARGS=<space-separated arguments>
 #   -DEXIT=<expected status> -DEXPECT=<text>
 # EXPECT must appear verbatim on stdout when EXIT is 0 and on stderr
-# otherwise. The simctl_* tests in CMakeLists.txt and the fault_path_*
-# tests in bench/CMakeLists.txt use it.
+# otherwise. The simctl_*, quickstart_*, compare_systems_* and
+# custom_model_* tests in CMakeLists.txt and the fault_path_* tests in
+# bench/CMakeLists.txt use it.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${PROG}" ${args}
                 RESULT_VARIABLE status

@@ -5,17 +5,20 @@
  * no-oversubscription Ideal.
  *
  * Usage: compare_systems [model] [batch]
+ *   A batch outside [1, 2^64-1] is rejected with exit status 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "baselines/runner.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "models/registry.hh"
+#include "support/parse_num.hh"
 
 using namespace deepum;
 
@@ -23,8 +26,13 @@ int
 main(int argc, char **argv)
 {
     std::string model = argc > 1 ? argv[1] : "gpt2-xl";
-    std::uint64_t batch =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 5;
+    std::optional<std::uint64_t> parsed = 5;
+    if (argc > 2)
+        parsed = support::parseNum("compare_systems", "batch", argv[2], 1,
+                                   std::numeric_limits<std::uint64_t>::max());
+    if (!parsed)
+        return 2;
+    const std::uint64_t batch = *parsed;
 
     torch::Tape tape = models::buildModel(model, batch);
     harness::ExperimentConfig cfg;

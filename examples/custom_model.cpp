@@ -7,15 +7,22 @@
  * The model is a small U-Net-style encoder/decoder with skip
  * connections (long activation reuse distances, the interesting case
  * for prefetching).
+ *
+ * Usage: custom_model [batch]
+ *   batch defaults to 96; one outside [1, 2^64-1] is rejected with
+ *   exit status 2.
  */
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "models/builder.hh"
+#include "support/parse_num.hh"
 
 using namespace deepum;
 
@@ -84,8 +91,13 @@ buildUnet(std::uint64_t batch)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t batch =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 96;
+    std::optional<std::uint64_t> parsed = 96;
+    if (argc > 1)
+        parsed = support::parseNum("custom_model", "batch", argv[1], 1,
+                                   std::numeric_limits<std::uint64_t>::max());
+    if (!parsed)
+        return 2;
+    const std::uint64_t batch = *parsed;
     torch::Tape tape = buildUnet(batch);
 
     harness::ExperimentConfig base;

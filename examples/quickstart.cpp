@@ -3,19 +3,23 @@
  * Quickstart: train one model under naive UM, DeepUM, and an ideal
  * (no-oversubscription) GPU, and print the headline comparison.
  *
- * Usage: quickstart [model] [batch]
+ * Usage: quickstart [model] [batch] [-v] [lookahead]
  *   model defaults to bert-base, batch to 30 (about 6% GPU memory
- *   oversubscription at the simulator's 256 MiB scale).
+ *   oversubscription at the simulator's 256 MiB scale). A batch
+ *   outside [1, 2^64-1] or a lookahead outside [1, 2^32-1] is
+ *   rejected with exit status 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "models/registry.hh"
+#include "support/parse_num.hh"
 
 using namespace deepum;
 
@@ -23,8 +27,21 @@ int
 main(int argc, char **argv)
 {
     std::string model = argc > 1 ? argv[1] : "bert-base";
-    std::uint64_t batch =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 30;
+    std::optional<std::uint64_t> parsed = 30;
+    if (argc > 2)
+        parsed = support::parseNum("quickstart", "batch", argv[2], 1,
+                                   std::numeric_limits<std::uint64_t>::max());
+    if (!parsed)
+        return 2;
+    const std::uint64_t batch = *parsed;
+    std::optional<std::uint64_t> lookahead;
+    if (argc > 4) {
+        lookahead = support::parseNum(
+            "quickstart", "lookahead", argv[4], 1,
+            std::numeric_limits<std::uint32_t>::max());
+        if (!lookahead)
+            return 2;
+    }
 
     torch::Tape tape = models::buildModel(model, batch);
     std::printf("model %s, batch %llu\n", model.c_str(),
@@ -37,9 +54,8 @@ main(int argc, char **argv)
                 tape.launchesPerIteration());
 
     harness::ExperimentConfig cfg;
-    if (argc > 4)
-        cfg.deepum.lookaheadN = static_cast<std::uint32_t>(
-            std::strtoul(argv[4], nullptr, 10));
+    if (lookahead)
+        cfg.deepum.lookaheadN = static_cast<std::uint32_t>(*lookahead);
     std::printf("  GPU memory     : %s (oversubscription %.2fx)\n\n",
                 harness::fmtMiB(cfg.gpuMemBytes).c_str(),
                 static_cast<double>(tape.footprintBytes()) /

@@ -142,7 +142,22 @@ class PredictionWindow
     DEEPUM_NOALLOC bool
     isProtected(uvm::BlockIndex i) const
     {
-        return i < stamp_.size() && stamp_[i] > retired_;
+        return stamp(i) > retired_;
+    }
+
+    /** Slots retired so far: a stamp above this is protected. */
+    std::uint64_t retired() const { return retired_; }
+
+    /**
+     * Block slot @p i's stamp: the sequence number of the newest
+     * window slot that protected it, 0 if none. Only protect() and a
+     * range free change it; protect() only raises it, and a range
+     * free zeroes it only after its block left the LRU.
+     */
+    DEEPUM_NOALLOC std::uint64_t
+    stamp(uvm::BlockIndex i) const
+    {
+        return i < stamp_.size() ? stamp_[i] : 0;
     }
 
     /** Forget block slot @p i's protection (its block was freed). */
@@ -206,6 +221,9 @@ class Prefetcher
     {
         return window_.isProtected(i);
     }
+
+    /** The prediction window (the victim walk reads its stamps). */
+    const PredictionWindow &window() const { return window_; }
 
     /** Number of kernels the chain has advanced past the current. */
     std::uint32_t chainDepth() const { return chainDepth_; }

@@ -2,16 +2,23 @@
  * @file
  * Interface the GPU engine uses to talk to the memory driver.
  *
- * The engine only needs residency checks, a way to signal fault
- * interrupts, and kernel-boundary notifications; everything else
- * (eviction, prefetching, tables) lives behind this interface in the
- * uvm/ and core/ modules.
+ * The engine hands the driver one SM batch at a time (accessBatch):
+ * the driver reports which blocks fault, and records the accesses of
+ * a batch that ran. Beyond that the engine only signals fault
+ * interrupts and kernel boundaries; everything else (eviction,
+ * prefetching, tables) lives behind this interface in the uvm/ and
+ * core/ modules.
  */
 
 #pragma once
 
+#include <cstddef>
+#include <span>
+
+#include "gpu/fault_buffer.hh"
 #include "gpu/kernel.hh"
 #include "mem/addr.hh"
+#include "sim/types.hh"
 
 namespace deepum::gpu {
 
@@ -38,6 +45,60 @@ class UvmBackend
 
     /** The GPU touched @p block (resident access, not a fault). */
     virtual void onBlockAccess(mem::BlockId block) = 0;
+
+    /**
+     * The SMs issue @p batch at @p now. Push one entry into @p fb per
+     * distinct non-resident block, in first-access order, and return
+     * how many were pushed. When none were, the batch ran: record
+     * every access, in order (onBlockAccess).
+     *
+     * This default is written in terms of isResident and
+     * onBlockAccess, so a forwarder that overrides only those sees
+     * every call. The driver overrides it to probe its block store
+     * inline, without a virtual call per access.
+     */
+    virtual std::size_t
+    accessBatch(std::span<const BlockAccess> batch, sim::Tick now,
+                FaultBuffer &fb)
+    {
+        return runBatch(
+            batch, now, fb,
+            [this](mem::BlockId b) { return isResident(b); },
+            [this](mem::BlockId b) { onBlockAccess(b); });
+    }
+
+  protected:
+    /**
+     * accessBatch's contract, written once: @p resident(block) probes
+     * residency and @p record(block) records one access. An access
+     * whose block an earlier access of the batch named pushes nothing
+     * (hardware can push duplicates, but one entry per block per
+     * batch keeps driver work equal); that block is non-resident too,
+     * so residency is not probed again.
+     */
+    template <typename Resident, typename Record>
+    static std::size_t
+    runBatch(std::span<const BlockAccess> batch, sim::Tick now,
+             FaultBuffer &fb, Resident &&resident, Record &&record)
+    {
+        std::size_t pushed = 0;
+        for (std::size_t i = 0; i != batch.size(); ++i) {
+            const BlockAccess &a = batch[i];
+            if (resident(a.block))
+                continue;
+            std::size_t j = 0;
+            while (j != i && batch[j].block != a.block)
+                ++j;
+            if (j == i) {
+                fb.push(FaultEntry{a.block, a.pages, a.write, now});
+                ++pushed;
+            }
+        }
+        if (pushed == 0)
+            for (const BlockAccess &a : batch)
+                record(a.block);
+        return pushed;
+    }
 };
 
 } // namespace deepum::gpu

@@ -1,6 +1,7 @@
 #include "gpu/gpu_engine.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -38,6 +39,18 @@ GpuEngine::launch(const KernelInfo *kernel, sim::EventFn on_done)
     stalled_ = false;
     kernelStart_ = curTick();
     ++kernelsLaunched_;
+
+    // One division per launch: later batches carry the remainder.
+    const std::size_t n = kernel_->accesses.size();
+    computeLeft_ = kernel_->computeNs;
+    carry_ = 0;
+    if (cfg_.smBatch < n) {
+        __uint128_t per_batch =
+            static_cast<__uint128_t>(kernel_->computeNs) * cfg_.smBatch;
+        batchQuot_ = static_cast<sim::Tick>(per_batch / n);
+        batchRem_ = static_cast<std::uint64_t>(
+            per_batch - static_cast<__uint128_t>(batchQuot_) * n);
+    }
 
     backend_->onKernelBegin(*kernel_);
     if (kernel_->accesses.empty()) {
@@ -78,31 +91,12 @@ GpuEngine::advance()
     }
 
     std::size_t end = std::min(n, nextAccess_ + cfg_.smBatch);
+    std::size_t faults = backend_->accessBatch(
+        std::span(acc).subspan(nextAccess_, end - nextAccess_),
+        curTick(), fb_);
 
-    // Collect distinct non-resident blocks in this SM batch.
-    bool missed = false;
-    for (std::size_t i = nextAccess_; i < end; ++i) {
-        if (backend_->isResident(acc[i].block))
-            continue;
-        // Dedupe within the batch: hardware can push duplicates, but
-        // one entry per block per batch keeps driver work equal.
-        bool dup = false;
-        for (std::size_t j = nextAccess_; j < i; ++j) {
-            if (acc[j].block == acc[i].block &&
-                !backend_->isResident(acc[j].block)) {
-                dup = true;
-                break;
-            }
-        }
-        if (dup)
-            continue;
-        fb_.push(FaultEntry{acc[i].block, acc[i].pages, acc[i].write,
-                            curTick()});
-        faultsRaised_ += 1;
-        missed = true;
-    }
-
-    if (missed) {
+    if (faults != 0) {
+        faultsRaised_ += faults;
         stalled_ = true;
         stallStart_ = curTick();
         if (auto *tr = eventq().tracer())
@@ -115,18 +109,21 @@ GpuEngine::advance()
         return; // replay() resumes us
     }
 
-    // All resident: charge compute proportional to trace progress so
+    // The batch ran: charge compute proportional to trace progress so
     // the total over the kernel is exactly computeNs.
     ++batchesIssued_;
-    sim::Tick charged_before = static_cast<sim::Tick>(
-        (static_cast<__uint128_t>(kernel_->computeNs) * nextAccess_) / n);
-    sim::Tick charged_after = static_cast<sim::Tick>(
-        (static_cast<__uint128_t>(kernel_->computeNs) * end) / n);
-    sim::Tick dt = charged_after - charged_before;
+    sim::Tick dt = computeLeft_;
+    if (end != n) {
+        dt = batchQuot_;
+        if (carry_ >= n - batchRem_) {
+            carry_ -= n - batchRem_;
+            ++dt;
+        } else {
+            carry_ += batchRem_;
+        }
+    }
+    computeLeft_ -= dt;
     computeTicks_ += dt;
-
-    for (std::size_t i = nextAccess_; i < end; ++i)
-        backend_->onBlockAccess(acc[i].block);
 
     nextAccess_ = end;
     scheduleIn(dt, [this] { advance(); });

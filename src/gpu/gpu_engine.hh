@@ -8,7 +8,9 @@
  * into the FaultBuffer, raises an interrupt, and stalls until the
  * driver replays — modelling the per-SM TLB lockup described in
  * paper Section 2.2. Resident batches advance simulated compute
- * time proportionally.
+ * time proportionally: the batch [b, e) of an n-access kernel charges
+ * floor(computeNs*e/n) - floor(computeNs*b/n), kept as a running
+ * quotient and remainder so a batch costs no division.
  */
 
 #pragma once
@@ -74,6 +76,15 @@ class GpuEngine : public sim::SimObject
     const KernelInfo *kernel_ = nullptr;
     sim::EventFn onDone_;
     std::size_t nextAccess_ = 0;
+
+    // Compute charging. A full batch of s = smBatch accesses charges
+    // batchQuot_ = floor(computeNs*s/n), plus one when the carried
+    // remainder wraps past n; the batch that ends the trace charges
+    // computeLeft_.
+    sim::Tick batchQuot_ = 0;
+    std::uint64_t batchRem_ = 0; ///< (computeNs*s) mod n
+    std::uint64_t carry_ = 0;    ///< (computeNs*nextAccess_) mod n
+    sim::Tick computeLeft_ = 0;  ///< computeNs not yet charged
     bool stalled_ = false;
     sim::Tick stallStart_ = 0;
     sim::Tick kernelStart_ = 0;

@@ -290,6 +290,17 @@ Driver::onBlockAccess(mem::BlockId block)
         l->onBlockAccessed(block);
 }
 
+std::size_t
+Driver::accessBatch(std::span<const gpu::BlockAccess> batch, sim::Tick now,
+                    gpu::FaultBuffer &fb)
+{
+    // Qualified calls: no virtual dispatch, and both inline here.
+    return runBatch(
+        batch, now, fb,
+        [this](mem::BlockId b) { return Driver::isResident(b); },
+        [this](mem::BlockId b) { Driver::onBlockAccess(b); });
+}
+
 // --------------------------------------------------------------------
 // Fault-handling thread
 // --------------------------------------------------------------------
@@ -424,12 +435,6 @@ Driver::requestReplay()
 void
 Driver::migrationStep()
 {
-    // Set once a prefetch finds no victim. Exact for the rest of this
-    // drain: the fault queue is empty before any prefetch is popped
-    // and nothing refills it until the loop returns, and dropping a
-    // prefetch changes no residency, pin or protection, so every
-    // later non-demand pickVictim would return kNoBlock again.
-    bool no_victim = false;
     for (;;) {
         MigrateCmd cmd;
         bool demand;
@@ -469,23 +474,12 @@ Driver::migrationStep()
         // transfer, map.
         sim::Tick t0 = curTick();
         sim::Tick t = t0;
-        if (!demand && no_victim && frames_.freePages() < bi.pages) {
-#ifdef DEEPUM_VALIDATE
-            DEEPUM_ASSERT(policy_->pickVictim(*this, /*demand=*/false) ==
-                              kNoBlock,
-                          "a prefetch found a victim after an earlier "
-                          "one in the same drain found none");
-#endif
-            ++prefetchDropped_;
-            continue;
-        }
         if (!makeRoom(bi.pages, t, demand)) {
             if (demand) {
                 sim::panic("no evictable block for a demand fault "
                            "(GPU memory too small for one batch?)");
             }
             // Drop the prefetch: everything resident is protected.
-            no_victim = true;
             ++prefetchDropped_;
             continue;
         }

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpu/backend.hh"
@@ -127,12 +128,13 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
      * or unknown block).
      *
      * The prefetcher's DEEPUM_NOALLOC chain walk prunes at this
-     * boundary: the command queue is a fixed ring, and the residual
-     * drain event / tracer counter it may arm are amortized or
-     * opt-in, not per-command costs.
+     * boundary: the command ring grows only until it reaches the
+     * deepest queue the run needs (at most its bound), and the
+     * residual drain event / tracer counter it may arm are amortized
+     * or opt-in, not per-command costs.
      */
-    DEEPUM_ALLOC_OK("fixed command ring; drain event and tracing "
-                    "are amortized or opt-in")
+    DEEPUM_ALLOC_OK("command ring grows to its bound once; drain event "
+                    "and tracing are amortized or opt-in")
     bool enqueuePrefetch(mem::BlockId block, std::uint32_t exec_id,
                          std::uint32_t depth = 0);
 
@@ -207,6 +209,13 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     void onKernelBegin(const gpu::KernelInfo &k) override;
     void onKernelEnd(const gpu::KernelInfo &k) override;
     void onBlockAccess(mem::BlockId block) override;
+
+    /**
+     * UvmBackend::accessBatch, with one inline store probe per access
+     * for residency and a direct (non-virtual) access record.
+     */
+    std::size_t accessBatch(std::span<const gpu::BlockAccess> batch,
+                            sim::Tick now, gpu::FaultBuffer &fb) override;
 
   private:
     /** Fault-handling thread body: fetch + preprocess batch_. */

@@ -31,11 +31,12 @@ class EvictionPolicy
      * a prefetch may rather be dropped than evict useful data).
      * @return the victim, or kNoBlock when nothing is evictable.
      *
-     * Must depend only on the driver's state (residency, pins) and
-     * the policy's inputs (e.g. DeepUM's protected set): once a
-     * non-demand call returns kNoBlock, the driver drops the rest of
-     * that migration drain's prefetches that need room without asking
-     * again.
+     * The answer depends only on the driver's state (residency,
+     * pins) and the policy's inputs (e.g. DeepUM's protected set). The
+     * driver asks once per victim it needs, including once per
+     * prefetch that needs room after an earlier one found none, so a
+     * repeated call with nothing changed should be cheap (DeepUM's
+     * resumable walk answers it in O(1)).
      *
      * Runs per evicted block on the fault critical path, so every
      * implementation is DEEPUM_NOALLOC (annotate overrides too — the

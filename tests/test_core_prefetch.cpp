@@ -3,17 +3,21 @@
  * Unit tests for the correlator, prefetcher (chaining semantics),
  * DeepUM eviction policy, and pre-evictor, wired to a real driver on
  * a small simulated GPU, plus a property test of the prediction
- * window's protected set against the per-slot refcount design.
+ * window's protected set against the per-slot refcount design and
+ * model-based and direct tests of the resumable victim walk.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/correlator.hh"
 #include "core/deepum.hh"
+#include "core/deepum_policy.hh"
 #include "core/prefetcher.hh"
 #include "gpu/fault_buffer.hh"
 #include "gpu/gpu_engine.hh"
@@ -422,6 +426,292 @@ TEST(DeepUmPipeline, InvalidationFlagReachesDriver)
     w.launch("more", 3, {b0 + 8, b0 + 9});
     EXPECT_GT(w.stats.get("uvm.invalidatedBlocks"), 0u);
     EXPECT_EQ(w.stats.get("uvm.evictedBlocks"), 0u);
+}
+
+// ------------------------------------------------ resumable victim walk
+
+/**
+ * The victim rule of paper Section 5.1 computed from scratch: the
+ * oldest migrated block that is neither pinned nor protected, else
+ * (demand only) the oldest unpinned one.
+ */
+mem::BlockId
+referenceVictim(const uvm::Driver &drv, const Prefetcher &pf, bool demand)
+{
+    const uvm::BlockStore &st = drv.store();
+    for (mem::BlockId b : st.lruOrder())
+        if (!drv.isPinned(b) && !pf.isProtectedIndex(st.find(b)))
+            return b;
+    if (!demand)
+        return uvm::kNoBlock;
+    for (mem::BlockId b : st.lruOrder())
+        if (!drv.isPinned(b))
+            return b;
+    return uvm::kNoBlock;
+}
+
+/** What the checked runs below exercised. */
+struct WalkCounts {
+    int demand = 0;
+    int nonDemand = 0;
+    int none = 0;          ///< kNoBlock answers
+    int fallback = 0;      ///< demand answers that were protected
+    int afterRetire = 0;   ///< calls after the window retired slots
+    int afterFree = 0;     ///< calls after a range free
+    std::uint64_t retired = 0; ///< the window's retired count at the last call
+    bool freed = false;        ///< the test freed a range since the last call
+};
+
+/** Forwards to a DeepUmPolicy and checks every answer against
+ * referenceVictim. */
+class CheckedDeepUmPolicy : public uvm::EvictionPolicy
+{
+  public:
+    CheckedDeepUmPolicy(const Prefetcher &pf, DeepUmPolicy &inner,
+                        WalkCounts &counts)
+        : pf_(pf), inner_(inner), counts_(counts)
+    {
+    }
+
+    mem::BlockId
+    pickVictim(const uvm::Driver &drv, bool demand) override
+    {
+        mem::BlockId got = inner_.pickVictim(drv, demand);
+        EXPECT_EQ(got, referenceVictim(drv, pf_, demand))
+            << (demand ? "demand" : "non-demand") << " call "
+            << counts_.demand + counts_.nonDemand;
+        ++(demand ? counts_.demand : counts_.nonDemand);
+        counts_.none += got == uvm::kNoBlock;
+        counts_.fallback +=
+            got != uvm::kNoBlock &&
+            pf_.isProtectedIndex(drv.store().find(got));
+        counts_.afterRetire += pf_.window().retired() != counts_.retired;
+        counts_.retired = pf_.window().retired();
+        counts_.afterFree += counts_.freed;
+        counts_.freed = false;
+        return got;
+    }
+
+    const char *name() const override { return "checked-deepum"; }
+
+  private:
+    const Prefetcher &pf_;
+    DeepUmPolicy &inner_;
+    WalkCounts &counts_;
+};
+
+TEST(DeepUmPolicy, ResumedWalkMatchesTheFullWalk)
+{
+    DeepUmConfig cfg;
+    cfg.lookaheadN = 2;
+    cfg.preevictWatermarkPages = 2 * mem::kPagesPerBlock;
+    DeepUmWorld w(cfg);
+    DeepUmPolicy policy(w.dum->prefetcher());
+    WalkCounts counts;
+    w.drv.setEvictionPolicy(std::make_unique<CheckedDeepUmPolicy>(
+        w.dum->prefetcher(), policy, counts));
+
+    // Region A (12 blocks) stays; region B (3 blocks) is freed and
+    // registered again at random, between kernels.
+    mem::BlockId a0 = mem::blockOf(w.reg(12));
+    const mem::VAddr vb = mem::kUmBase + 16 * mem::kBlockBytes;
+    const mem::BlockId b0 = mem::blockOf(vb);
+    bool b_live = true;
+    w.drv.registerRange(vb, 3 * mem::kBlockBytes);
+    int frees = 0;
+
+    sim::Rng rng(31);
+    for (int launch = 0; launch < 600; ++launch) {
+        if (rng.below(100) < 4) {
+            if (b_live) {
+                w.drv.unregisterRange(vb, 3 * mem::kBlockBytes);
+                counts.freed = true;
+                ++frees;
+            } else {
+                w.drv.registerRange(vb, 3 * mem::kBlockBytes);
+            }
+            b_live = !b_live;
+        }
+        // A six-kernel loop, with the odd launch out of order so the
+        // window mispredicts as well as slides.
+        int k = launch % 6;
+        if (rng.below(100) < 8)
+            k = static_cast<int>(rng.below(6));
+        std::vector<mem::BlockId> blocks{a0 + 2 * k, a0 + 2 * k + 1};
+        if (b_live && k % 2 == 0)
+            blocks.push_back(b0 + k / 2);
+        static const char *const kNames[] = {"k0", "k1", "k2",
+                                             "k3", "k4", "k5"};
+        w.launch(kNames[k], k, blocks);
+    }
+
+    EXPECT_GT(frees, 0);
+    EXPECT_GT(counts.afterFree, 0);
+    EXPECT_GT(counts.afterRetire, 0);
+    EXPECT_GT(counts.demand, 0);
+    EXPECT_GT(counts.nonDemand, 0);
+    EXPECT_GT(counts.none, 0);
+    EXPECT_GT(w.stats.get("uvm.demandEvictions"), 0u);
+    EXPECT_GT(w.stats.get("uvm.preEvictions"), 0u);
+    EXPECT_GT(w.stats.get("prefetcher.mispredictedLaunches"), 0u);
+    EXPECT_GT(w.stats.get("uvm.prefetchDropped"), 0u);
+}
+
+/**
+ * A 4-block GPU with a bare driver (stock LRU policy, no DeepUM
+ * listener) and a standalone prefetcher, so a test sets protection
+ * and residency step by step and asks its own DeepUmPolicy.
+ */
+struct CursorWorld {
+    sim::EventQueue eq;
+    sim::StatSet stats;
+    gpu::TimingConfig cfg;
+    gpu::FaultBuffer fb;
+    gpu::PcieLink link{cfg};
+    mem::FramePool frames{4 * mem::kPagesPerBlock};
+    gpu::GpuEngine engine{eq, cfg, fb, stats};
+    uvm::Driver drv{eq, cfg, fb, link, frames, stats};
+    ExecCorrelationTable exec;
+    BlockCorrelationTableSet tables{BlockTableConfig{64, 2, 4}};
+    Correlator corr{exec, tables};
+    DeepUmConfig dcfg;
+    Prefetcher pf{drv, exec, tables, corr, dcfg, stats};
+    DeepUmPolicy policy{pf};
+    const mem::BlockId b0 = mem::blockOf(mem::kUmBase);
+
+    CursorWorld()
+    {
+        engine.setBackend(&drv);
+        drv.setEngine(&engine);
+    }
+
+    /** Demand-migrate @p blocks (one kernel; LRU evicts as needed). */
+    void
+    touch(std::vector<mem::BlockId> blocks)
+    {
+        kernel_.name = "touch";
+        kernel_.computeNs = sim::kUsec;
+        kernel_.accesses.clear();
+        for (mem::BlockId b : blocks)
+            kernel_.accesses.push_back(gpu::BlockAccess{b, 512, false});
+        bool done = false;
+        engine.launch(&kernel_, [&] { done = true; });
+        eq.run();
+        ASSERT_TRUE(done);
+    }
+
+    /**
+     * Launch exec @p id (retiring the window's slots unless predicted)
+     * and protect @p blocks, which must be resident, for it.
+     */
+    void
+    protect(ExecId id, const std::vector<mem::BlockId> &blocks)
+    {
+        corr.onKernelLaunch(id);
+        pf.onKernelLaunch(id);
+        corr.onFaultBlocks(blocks);
+        pf.onFaultBlocks(blocks);
+        eq.run();
+    }
+
+    mem::BlockId pick() { return policy.pickVictim(drv, false); }
+
+    gpu::KernelInfo kernel_;
+};
+
+TEST(DeepUmPolicy, RetiredSlotUnprotectsACachedBlock)
+{
+    CursorWorld w;
+    w.drv.registerRange(mem::kUmBase, 4 * mem::kBlockBytes);
+    const mem::BlockId b0 = w.b0;
+    w.touch({b0, b0 + 1, b0 + 2, b0 + 3});
+    w.protect(1, {b0, b0 + 1});
+    ASSERT_TRUE(w.pf.isProtectedIndex(w.drv.store().find(b0)));
+    EXPECT_EQ(w.pick(), b0 + 2); // caches the prefix b0, b1
+    EXPECT_EQ(w.pick(), b0 + 2);
+    // Launching another kernel retires exec 1's slot: b0 is the
+    // oldest unprotected block again.
+    w.corr.onKernelLaunch(2);
+    w.pf.onKernelLaunch(2);
+    ASSERT_FALSE(w.pf.isProtectedIndex(w.drv.store().find(b0)));
+    EXPECT_EQ(w.pick(), b0);
+}
+
+TEST(DeepUmPolicy, CachedBlockEvictedThenMigratedAgain)
+{
+    CursorWorld w;
+    w.drv.registerRange(mem::kUmBase, 6 * mem::kBlockBytes);
+    const mem::BlockId b0 = w.b0;
+    w.touch({b0, b0 + 1, b0 + 2, b0 + 3});
+    w.protect(1, {b0});
+    EXPECT_EQ(w.pick(), b0 + 1); // caches the prefix b0
+    // The driver's stock policy evicts b0 (it stays protected), then
+    // migrates it again, evicting b1: b0 sits at the LRU's tail.
+    w.touch({b0 + 4});
+    w.touch({b0});
+    ASSERT_EQ(w.drv.blockInfo(b0).loc, uvm::Loc::Device);
+    ASSERT_TRUE(w.pf.isProtectedIndex(w.drv.store().find(b0)));
+    EXPECT_EQ(w.pick(), b0 + 2);
+
+    // Evicted and not yet back: LRU b3, b4, b0, b5 after caching b2.
+    w.protect(2, {b0 + 2});
+    EXPECT_EQ(w.pick(), b0 + 3); // caches the prefix b2
+    w.touch({b0 + 5});
+    ASSERT_NE(w.drv.blockInfo(b0 + 2).loc, uvm::Loc::Device);
+    EXPECT_EQ(w.pick(), b0 + 3);
+}
+
+TEST(DeepUmPolicy, CachedBlocksRangeFreed)
+{
+    CursorWorld w;
+    w.drv.registerRange(mem::kUmBase, 2 * mem::kBlockBytes);
+    w.drv.registerRange(mem::kUmBase + 2 * mem::kBlockBytes,
+                        4 * mem::kBlockBytes);
+    const mem::BlockId b0 = w.b0;
+    w.touch({b0, b0 + 1, b0 + 2, b0 + 3});
+    w.protect(1, {b0, b0 + 1});
+    EXPECT_EQ(w.pick(), b0 + 2); // caches the prefix b0, b1
+    // Free the prefix's range. Its stale records still read resident.
+    w.drv.unregisterRange(mem::kUmBase, 2 * mem::kBlockBytes);
+    w.pf.onRangeUnregistered(b0, b0 + 2);
+    EXPECT_EQ(w.pick(), b0 + 2);
+    // Registered and migrated again: b1 is unprotected and newest.
+    w.drv.registerRange(mem::kUmBase, 2 * mem::kBlockBytes);
+    w.touch({b0 + 1});
+    EXPECT_EQ(w.pick(), b0 + 2);
+    w.protect(2, {b0 + 2, b0 + 3});
+    EXPECT_EQ(w.pick(), b0 + 1);
+}
+
+TEST(DeepUmPolicy, UnprotectedPinnedBlockEndsTheCachedPrefix)
+{
+    // A prefetch in flight lands p after the fault batch {x, y, p}
+    // pinned it, so p sits resident, pinned and unprotected until its
+    // own fault command is served. The commands for x and y, ahead of
+    // it, each need a victim meanwhile; the second walk passes the
+    // protected x behind p. Once p is unpinned it is the victim, so
+    // that walk must not have cached past p.
+    CursorWorld w;
+    WalkCounts counts;
+    w.drv.setEvictionPolicy(
+        std::make_unique<CheckedDeepUmPolicy>(w.pf, w.policy, counts));
+    w.drv.registerRange(mem::kUmBase, 8 * mem::kBlockBytes);
+    const mem::BlockId b0 = w.b0, p = b0 + 3, x = b0 + 4, y = b0 + 5;
+    w.touch({b0, b0 + 1, b0 + 2});
+    w.protect(1, {b0, b0 + 1, b0 + 2, x, y});
+    ASSERT_TRUE(w.drv.enqueuePrefetch(p, 1));
+    for (mem::BlockId b : {x, y, p})
+        w.fb.push(gpu::FaultEntry{b, 512, false, w.eq.now()});
+    w.drv.faultInterrupt();
+    w.eq.run();
+    // x and y each fell back to the oldest unpinned block, b0 then b1.
+    EXPECT_EQ(counts.demand, 2);
+    EXPECT_EQ(counts.fallback, 2);
+    EXPECT_NE(w.drv.blockInfo(b0).loc, uvm::Loc::Device);
+    EXPECT_NE(w.drv.blockInfo(b0 + 1).loc, uvm::Loc::Device);
+    ASSERT_EQ(w.drv.blockInfo(p).loc, uvm::Loc::Device);
+    ASSERT_FALSE(w.drv.isPinned(p));
+    EXPECT_EQ(w.pick(), p);
 }
 
 } // namespace

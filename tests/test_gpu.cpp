@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "gpu/backend.hh"
 #include "gpu/fault_buffer.hh"
@@ -296,6 +297,69 @@ TEST(GpuEngine, ComputeChargedExactlyOnceAcrossBatches)
     w.engine.launch(&k, [] {});
     w.eq.run();
     EXPECT_EQ(w.engine.computeTicks(), 999983u);
+}
+
+/** A resident-everything backend that logs when each access ran. */
+class AccessTimes : public MockBackend
+{
+  public:
+    std::vector<sim::Tick> at;
+
+    void
+    onBlockAccess(mem::BlockId b) override
+    {
+        MockBackend::onBlockAccess(b);
+        at.push_back(eq->now());
+    }
+};
+
+TEST(GpuEngine, RunningRemainderChargesEachBatchExactly)
+{
+    // computeNs*smBatch overflows 64 bits, and 21 accesses leave a
+    // short last batch: [0, 8), [8, 16), [16, 21).
+    sim::EventQueue eq;
+    sim::StatSet stats;
+    TimingConfig cfg;
+    cfg.smBatch = 8;
+    FaultBuffer fb;
+    GpuEngine engine{eq, cfg, fb, stats};
+    AccessTimes backend;
+    backend.eq = &eq;
+    engine.setBackend(&backend);
+
+    const sim::Tick c = (sim::Tick(1) << 63) + 12345;
+    const std::size_t n = 21;
+    KernelInfo k;
+    k.name = "k";
+    k.computeNs = c;
+    for (std::size_t i = 0; i < n; ++i) {
+        k.accesses.push_back(
+            BlockAccess{static_cast<mem::BlockId>(i), 4, false});
+        backend.resident.insert(static_cast<mem::BlockId>(i));
+    }
+    sim::Tick retired = 0;
+    engine.launch(&k, [&] { retired = eq.now(); });
+    eq.run();
+    ASSERT_EQ(backend.at.size(), n);
+
+    auto charged = [&](std::size_t upto) {
+        return static_cast<sim::Tick>(
+            static_cast<__uint128_t>(c) * upto / n);
+    };
+    sim::Tick sum = 0;
+    for (std::size_t begin = 0; begin < n; begin += cfg.smBatch) {
+        std::size_t end = std::min(n, begin + cfg.smBatch);
+        // A batch's accesses run when it issues; its charge is the
+        // gap to the next batch (or to retirement).
+        sim::Tick issued = backend.at[begin];
+        sim::Tick next = end < n ? backend.at[end] : retired;
+        EXPECT_EQ(next - issued, charged(end) - charged(begin))
+            << "batch [" << begin << ", " << end << ")";
+        sum += next - issued;
+    }
+    EXPECT_EQ(sum, c);
+    EXPECT_EQ(engine.computeTicks(), c);
+    EXPECT_EQ(retired, cfg.kernelLaunchOverhead + c);
 }
 
 TEST(GpuEngine, SequentialKernelsBothComplete)

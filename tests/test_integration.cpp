@@ -4,10 +4,13 @@
  * harness, checking the paper's qualitative results hold on the
  * simulator — DeepUM beats naive UM on regular workloads, DLRM gets
  * little benefit, the ablation ordering of Figure 10, fault-count
- * reduction of Table 5, and bit-exact determinism.
+ * reduction of Table 5, bit-exact determinism, and DeepUM with
+ * every mechanism off reducing to UM.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "harness/experiment.hh"
 #include "models/registry.hh"
@@ -145,6 +148,64 @@ TEST(Integration, RunsAreBitDeterministic)
     ASSERT_TRUE(a.ok && b.ok);
     EXPECT_EQ(a.ticksPerIter, b.ticksPerIter);
     EXPECT_EQ(a.stats, b.stats);
+}
+
+TEST(Integration, DeepUmWithEveryMechanismOffMatchesUm)
+{
+    // Metamorphic relation: without prefetching, pre-eviction (and
+    // with it the protected-aware victim policy) and invalidation,
+    // DeepUM's driver is the stock UM driver, so every stat the two
+    // runs share under gpu.* and uvm.* must be equal.
+    ExperimentConfig cfg;
+    cfg.iterations = 8;
+    cfg.warmup = 2;
+    ExperimentConfig off = cfg;
+    off.deepum.prefetch = false;
+    off.deepum.preevict = false;
+    off.deepum.invalidate = false;
+    auto shared = [](const std::string &name) {
+        return name.rfind("gpu.", 0) == 0 || name.rfind("uvm.", 0) == 0;
+    };
+    const std::pair<const char *, std::uint64_t> cells[] = {
+        {"bert-base", 30},
+        {"dlrm", 229376},
+        {"resnet152", 1792},
+        {"mobilenet", 256},
+    };
+    int evicting = 0;
+    for (const auto &[model, batch] : cells) {
+        SCOPED_TRACE(std::string(model) + "/" + std::to_string(batch));
+        torch::Tape tape = models::buildModel(model, batch);
+        RunResult um = runExperiment(tape, SystemKind::Um, cfg);
+        RunResult dum = runExperiment(tape, SystemKind::DeepUm, off);
+        ASSERT_TRUE(um.ok && dum.ok);
+        std::size_t scalars = 0, dists = 0;
+        for (const auto &[name, v] : um.stats) {
+            auto it = dum.stats.find(name);
+            if (!shared(name) || it == dum.stats.end())
+                continue;
+            EXPECT_EQ(it->second, v) << name;
+            ++scalars;
+        }
+        for (const auto &[name, d] : um.dists) {
+            auto it = dum.dists.find(name);
+            if (!shared(name) || it == dum.dists.end())
+                continue;
+            const DistSummary &e = it->second;
+            EXPECT_EQ(e.count, d.count) << name;
+            EXPECT_EQ(e.min, d.min) << name;
+            EXPECT_EQ(e.max, d.max) << name;
+            EXPECT_EQ(e.mean, d.mean) << name;
+            EXPECT_EQ(e.stddev, d.stddev) << name;
+            EXPECT_EQ(e.p50, d.p50) << name;
+            EXPECT_EQ(e.p99, d.p99) << name;
+            ++dists;
+        }
+        EXPECT_GE(scalars, 23u);
+        EXPECT_GE(dists, 2u);
+        evicting += um.stats.at("uvm.demandEvictions") != 0;
+    }
+    EXPECT_EQ(evicting, 3); // mobilenet/256 fits in GPU memory
 }
 
 TEST(Integration, SeedChangesIrregularWorkloadTiming)

@@ -562,6 +562,66 @@ TEST(SpscQueue, FrontPeeksWithoutPop)
     EXPECT_EQ(q.size(), 1u);
 }
 
+TEST(SpscQueue, GrowthOfAWrappedRingKeepsFifoOrder)
+{
+    SpscQueue<int> q(1000);
+    int v;
+    // Wrap the first ring: its head sits mid-ring when it fills.
+    for (int i = 0; i < 10; ++i)
+        ASSERT_TRUE(q.push(i));
+    for (int i = 0; i < 7; ++i) {
+        ASSERT_TRUE(q.pop(v));
+        EXPECT_EQ(v, i);
+    }
+    int next_in = 10, next_out = 7;
+    // Grow several times, popping now and then, and audit the order.
+    for (int step = 0; step < 600; ++step) {
+        ASSERT_TRUE(q.push(next_in++));
+        if (step % 3 == 0) {
+            ASSERT_TRUE(q.pop(v));
+            EXPECT_EQ(v, next_out++);
+        }
+        ASSERT_EQ(q.size(), std::size_t(next_in - next_out));
+        int expect = next_out;
+        q.forEach([&](int x) { EXPECT_EQ(x, expect++); });
+        ASSERT_EQ(expect, next_in);
+    }
+    while (q.pop(v))
+        EXPECT_EQ(v, next_out++);
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_EQ(q.dropped(), 0u);
+}
+
+TEST(SpscQueue, CapacityReportsTheBoundBeforeAnyGrowth)
+{
+    SpscQueue<int> q(65536);
+    EXPECT_EQ(q.capacity(), 65536u);
+    q.push(1);
+    EXPECT_EQ(q.capacity(), 65536u);
+}
+
+TEST(SpscQueue, PushAtTheBoundIsDropped)
+{
+    // A bound that is not a power of two: the last growth stops at it.
+    SpscQueue<int> q(37);
+    for (int i = 0; i < 37; ++i)
+        ASSERT_TRUE(q.push(i));
+    EXPECT_FALSE(q.push(99));
+    EXPECT_FALSE(q.push(100));
+    EXPECT_EQ(q.dropped(), 2u);
+    EXPECT_EQ(q.pushed(), 37u);
+    EXPECT_EQ(q.size(), 37u);
+    int v;
+    ASSERT_TRUE(q.pop(v));
+    EXPECT_EQ(v, 0);
+    EXPECT_TRUE(q.push(37)); // room again below the bound
+    for (int i = 1; i <= 37; ++i) {
+        ASSERT_TRUE(q.pop(v));
+        EXPECT_EQ(v, i);
+    }
+    EXPECT_TRUE(q.empty());
+}
+
 // ---------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSeed)

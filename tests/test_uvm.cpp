@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the UVM driver: range registration, the Figure-3
  * fault pipeline, least-recently-migrated eviction, the inactive
- * invalidation path, prefetch-queue priority, pre-eviction, and
- * allocation-free steady-state fault handling.
+ * invalidation path, prefetch-queue priority, pre-eviction,
+ * allocation-free steady-state fault handling, and the driver's SM
+ * batch access path against the backend's default.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,8 +19,8 @@
 #include "gpu/pcie_link.hh"
 #include "mem/frame_pool.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
-#include "sim/validate.hh"
 #include "uvm/driver.hh"
 
 using namespace deepum;
@@ -488,7 +490,7 @@ class RefusingPolicy : public EvictionPolicy
     LruMigratedPolicy lru_;
 };
 
-TEST(UvmDriver, OneVictimSearchPerDrainWhenPrefetchesFindNone)
+TEST(UvmDriver, EachPrefetchThatNeedsRoomAsksThePolicyOnce)
 {
     World w;
     int calls = 0;
@@ -512,10 +514,9 @@ TEST(UvmDriver, OneVictimSearchPerDrainWhenPrefetchesFindNone)
         ASSERT_TRUE(w.drv.enqueuePrefetch(b0 + k, 0));
     w.eq.run();
 
-    // The first refusal stands for the rest of the drain; a
-    // DEEPUM_VALIDATE build re-asks for every skipped search to
-    // prove the answer is still "none".
-    EXPECT_EQ(calls, sim::kValidateBuild ? kNeedRoom : 1);
+    // Every prefetch that needs room asks once and is refused; the
+    // one that fits in the free frames never asks.
+    EXPECT_EQ(calls, kNeedRoom);
     EXPECT_EQ(w.stats.get("uvm.prefetchDropped"), std::uint64_t(kNeedRoom));
     for (int k = 0; k < kNeedRoom; ++k)
         EXPECT_NE(w.drv.blockInfo(b0 + k).loc, Loc::Device);
@@ -526,7 +527,143 @@ TEST(UvmDriver, OneVictimSearchPerDrainWhenPrefetchesFindNone)
     // A new drain asks again.
     ASSERT_TRUE(w.drv.enqueuePrefetch(b0, 0));
     w.eq.run();
-    EXPECT_EQ(calls, sim::kValidateBuild ? kNeedRoom + 1 : 2);
+    EXPECT_EQ(calls, kNeedRoom + 1);
+}
+
+/** Logs the access path's listener calls, in order. */
+struct AccessLog : DriverListener {
+    /** (exec ID of a useful prefetch, or ~0 for a plain access; block) */
+    std::vector<std::pair<std::uint32_t, mem::BlockId>> calls;
+
+    void
+    onBlockAccessed(mem::BlockId block) override
+    {
+        calls.emplace_back(~0u, block);
+    }
+
+    void
+    onPrefetchUseful(mem::BlockId block, std::uint32_t exec_id) override
+    {
+        calls.emplace_back(exec_id, block);
+    }
+};
+
+/** Forwards to a driver but keeps UvmBackend's default accessBatch. */
+class DefaultAccessPath final : public gpu::UvmBackend
+{
+  public:
+    explicit DefaultAccessPath(Driver &drv) : drv_(drv) {}
+
+    bool
+    isResident(mem::BlockId block) const override
+    {
+        return drv_.isResident(block);
+    }
+    void faultInterrupt() override { drv_.faultInterrupt(); }
+    void
+    onKernelBegin(const gpu::KernelInfo &k) override
+    {
+        drv_.onKernelBegin(k);
+    }
+    void
+    onKernelEnd(const gpu::KernelInfo &k) override
+    {
+        drv_.onKernelEnd(k);
+    }
+    void
+    onBlockAccess(mem::BlockId block) override
+    {
+        drv_.onBlockAccess(block);
+    }
+
+  private:
+    Driver &drv_;
+};
+
+TEST(UvmDriver, AccessBatchMatchesTheDefaultImplementation)
+{
+    // Two identical drivers take the same random SM batches: one
+    // through its own accessBatch, one through the default that a
+    // forwarder inherits. Prefetches between batches move residency
+    // and set prefetched bits, so useful-prefetch calls occur too.
+    World wa, wb;
+    AccessLog la, lb;
+    wa.drv.addListener(&la);
+    wb.drv.addListener(&lb);
+    DefaultAccessPath fwd(wb.drv);
+    mem::BlockId b0 = mem::blockOf(wa.reg(8));
+    wb.reg(8);
+    wa.touch({b0, b0 + 1, b0 + 2, b0 + 3});
+    wb.touch({b0, b0 + 1, b0 + 2, b0 + 3});
+
+    sim::Rng rng(21);
+    int ran = 0, faulted = 0, deduped = 0, useful = 0;
+    for (int step = 0; step < 3000; ++step) {
+        if (step % 25 == 0) {
+            mem::BlockId p = b0 + rng.below(8);
+            auto exec = static_cast<std::uint32_t>(step);
+            EXPECT_EQ(wa.drv.enqueuePrefetch(p, exec),
+                      wb.drv.enqueuePrefetch(p, exec));
+            wa.eq.run();
+            wb.eq.run();
+            continue;
+        }
+        std::vector<gpu::BlockAccess> batch(1 + rng.below(10));
+        for (gpu::BlockAccess &a : batch) {
+            std::uint64_t pick = rng.below(100);
+            // Mostly the 8 registered blocks (4 resident at a time),
+            // sometimes a block no range covers.
+            a.block = pick < 95 ? b0 + rng.below(8) : b0 + 40 + rng.below(3);
+            a.pages = 1 + static_cast<std::uint32_t>(rng.below(512));
+            a.write = rng.below(2) != 0;
+        }
+        std::size_t missing = 0, missing_distinct = 0;
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            if (wa.drv.isResident(batch[k].block))
+                continue;
+            ++missing;
+            missing_distinct +=
+                std::none_of(batch.begin(), batch.begin() + k,
+                             [&](const gpu::BlockAccess &e) {
+                                 return e.block == batch[k].block;
+                             });
+        }
+        std::size_t before = la.calls.size();
+        std::size_t na = wa.drv.accessBatch(batch, wa.eq.now(), wa.fb);
+        std::size_t nb = fwd.accessBatch(batch, wb.eq.now(), wb.fb);
+        ASSERT_EQ(na, nb) << "step " << step;
+        ASSERT_EQ(na, missing_distinct) << "step " << step;
+        ASSERT_EQ(wa.fb.size(), na) << "step " << step;
+        ASSERT_EQ(wb.fb.size(), nb) << "step " << step;
+        for (std::size_t k = 0; k < na; ++k) {
+            const gpu::FaultEntry &ea = wa.fb.entries()[k];
+            const gpu::FaultEntry &eb = wb.fb.entries()[k];
+            EXPECT_EQ(ea.block, eb.block) << "step " << step;
+            EXPECT_EQ(ea.pages, eb.pages) << "step " << step;
+            EXPECT_EQ(ea.write, eb.write) << "step " << step;
+            EXPECT_EQ(ea.raised, eb.raised) << "step " << step;
+        }
+        ASSERT_EQ(la.calls, lb.calls) << "step " << step;
+        std::size_t plain = 0;
+        for (std::size_t k = before; k < la.calls.size(); ++k) {
+            plain += la.calls[k].first == ~0u;
+            useful += la.calls[k].first != ~0u;
+        }
+        // A batch that faults records nothing; one that runs records
+        // every access.
+        EXPECT_EQ(plain, na == 0 ? batch.size() : 0u) << "step " << step;
+        ran += na == 0;
+        faulted += na != 0;
+        deduped += missing > missing_distinct;
+        wa.fb.clear();
+        wb.fb.clear();
+    }
+    EXPECT_EQ(wa.stats.get("uvm.prefetchUseful"),
+              wb.stats.get("uvm.prefetchUseful"));
+    EXPECT_GT(ran, 100);
+    EXPECT_GT(faulted, 100);
+    EXPECT_GT(deduped, 10);
+    EXPECT_GT(useful, 10);
 }
 
 TEST(UvmDriver, DirtyEvictionTrafficIsSymmetric)
