@@ -165,7 +165,7 @@ BM_SpscQueueRoundTrip(benchmark::State &state)
     std::uint64_t v = 0;
     for (auto _ : state) {
         q.push(v);
-        std::uint64_t out;
+        std::uint64_t out = 0;
         q.pop(out);
         benchmark::DoNotOptimize(out);
         ++v;

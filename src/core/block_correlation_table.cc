@@ -162,9 +162,12 @@ BlockCorrelationTable::successors(mem::BlockId b) const
 }
 
 SuccView
-BlockCorrelationTable::visit(mem::BlockId b)
+BlockCorrelationTable::visit(mem::BlockId b, EntryIndex hint)
 {
-    EntryIndex i = find(b);
+    // Tags are unique within the table, so an entry tagged b is b's.
+    EntryIndex i = hint < entries_.size() && entries_[hint].tag == b
+                       ? hint
+                       : find(b);
     if (i == kNoEntry)
         return SuccView{};
     refreshAt(i);

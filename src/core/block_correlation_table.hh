@@ -26,7 +26,9 @@
  * record() may allocate while a table grows past its largest live
  * count so far, and successor storage moves whenever an entry is
  * inserted or erased: a SuccView, like an entry index, is valid until
- * the next DEEPUM_INVALIDATES_VIEWS call on its table.
+ * the next DEEPUM_INVALIDATES_VIEWS call on its table. An index handed
+ * back to visit() as a hint may outlive that call, because visit()
+ * checks the hinted entry's tag before it trusts the index.
  */
 
 #pragma once
@@ -88,6 +90,9 @@ class BlockCorrelationTable
     /** Packed index of a live entry (see freshEntries()). */
     using EntryIndex = std::uint32_t;
 
+    /** "No entry": a failed probe, or a visit() without a hint. */
+    static constexpr EntryIndex kNoEntry = ~EntryIndex(0);
+
     /**
      * Record that a fault on @p next followed a fault on @p prev
      * within this kernel. One pass over @p prev's set finds its
@@ -106,10 +111,17 @@ class BlockCorrelationTable
     DEEPUM_NOALLOC SuccView successors(mem::BlockId b) const;
 
     /**
-     * One chain-walk visit: refresh() and successors() of @p b in a
-     * single probe.
+     * One chain-walk visit: refresh() and successors() of @p b in at
+     * most one probe. @p hint is an index that may name @p b's entry,
+     * typically one freshEntries() returned. visit() trusts it only
+     * while that entry still carries tag @p b, and probes otherwise.
+     * That is exact because a tag is unique within a table: it can
+     * live only in its own set, and record() finds an existing entry
+     * before it fills a way. So a hint may outlive the
+     * DEEPUM_INVALIDATES_VIEWS calls that shift or retag entries.
      */
-    DEEPUM_NOALLOC SuccView visit(mem::BlockId b);
+    DEEPUM_NOALLOC SuccView visit(mem::BlockId b,
+                                  EntryIndex hint = kNoEntry);
 
     /** First faulted block of the kernel's executions. */
     mem::BlockId start() const { return start_; }
@@ -146,7 +158,8 @@ class BlockCorrelationTable
      * Fill @p out (cleared first) with the indices of the entries
      * touched within the last @p window executions, in ascending way
      * order. An index names its entry to tagAt() and refreshAt()
-     * until the next DEEPUM_INVALIDATES_VIEWS call on this table.
+     * until the next DEEPUM_INVALIDATES_VIEWS call on this table. As
+     * a visit() hint it may outlive that call: visit() validates it.
      *
      * A kernel's fault-learned graph can split into disconnected
      * components (blocks that stop faulting because prefetching
@@ -245,9 +258,6 @@ class BlockCorrelationTable
         std::uint32_t lastEpoch = 0;
         std::uint32_t succCount = 0;
     };
-
-    /** "No entry" for probes. */
-    static constexpr EntryIndex kNoEntry = ~EntryIndex(0);
 
     /** Map @p b to its set index. */
     std::size_t setIndex(mem::BlockId b) const;

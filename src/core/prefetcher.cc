@@ -17,6 +17,10 @@ constexpr std::uint32_t kChainEnqueueCap = 4096;
 /// issued when the chain enters the kernel.
 constexpr std::uint32_t kFreshEpochWindow = 4;
 
+/// A walk item with no visit() hint.
+constexpr BlockCorrelationTable::EntryIndex kNoEntry =
+    BlockCorrelationTable::kNoEntry;
+
 } // namespace
 
 void
@@ -89,16 +93,6 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
 }
 
 void
-Prefetcher::protect(std::size_t slot, mem::BlockId b)
-{
-    uvm::BlockIndex i = drv_.store().find(b);
-    if (i == uvm::kNoBlockIndex)
-        return; // unknown block: nothing to protect
-    growScratch();
-    window_.protect(slot, i);
-}
-
-void
 Prefetcher::popFrontSlot()
 {
     window_.popFront();
@@ -132,11 +126,11 @@ Prefetcher::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
 }
 
 void
-Prefetcher::issue(std::size_t slot, mem::BlockId b)
+Prefetcher::issue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 {
-    protect(slot, b);
-    drv_.enqueuePrefetch(b, window_.exec(slot),
-                         static_cast<std::uint32_t>(slot));
+    protect(slot, i);
+    drv_.enqueuePrefetchAt(i, b, window_.exec(slot),
+                           static_cast<std::uint32_t>(slot));
     ++blocksIssued_;
     if (budget_ > 0)
         --budget_;
@@ -214,15 +208,17 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
         window_.push(cur);
     window_.exec(0) = cur;
 
+    growScratch();
     clearWalk();
     ++seenGen_;
     for (mem::BlockId b : blocks) {
-        if (!markSeen(b))
+        uvm::BlockIndex i;
+        if (!markSeen(b, i))
             continue;
         // The faulted blocks are demand-migrating; protect them for
         // the current kernel and walk their successors.
-        protect(0, b);
-        support::pushAmortized(walk_, b);
+        protect(0, i);
+        support::pushAmortized(walk_, WalkItem{b, kNoEntry});
     }
     enterKernelTable(0);
     runChain();
@@ -240,15 +236,18 @@ Prefetcher::enterKernelTable(std::size_t slot)
     // start component: blocks covered by prefetching stop faulting
     // and would otherwise fall out of the chain (see freshEntries()).
     // issue() never touches a table, so the swept indices stay valid
-    // and each entry is stamped without a second probe.
+    // and each entry is stamped without a second probe. Each index
+    // rides along in the walk as its entry's visit() hint; a chain
+    // paused before the visit may find it stale, which visit() checks.
     bt->freshEntries(kFreshEpochWindow, freshScratch_);
     for (BlockCorrelationTable::EntryIndex e : freshScratch_) {
         mem::BlockId t = bt->tagAt(e);
-        if (!markSeen(t))
+        uvm::BlockIndex i;
+        if (!markSeen(t, i))
             continue;
         bt->refreshAt(e);
-        issue(slot, t);
-        support::pushAmortized(walk_, t);
+        issue(slot, t, i);
+        support::pushAmortized(walk_, WalkItem{t, e});
         if (budget_ == 0)
             return;
     }
@@ -288,6 +287,7 @@ Prefetcher::onKernelEnd()
 void
 Prefetcher::runChain()
 {
+    growScratch();
     while (active_ && !paused_) {
         if (budget_ == 0) {
             active_ = false;
@@ -303,7 +303,7 @@ Prefetcher::runChain()
                 return;
             continue;
         }
-        mem::BlockId p = walk_[walkHead_++];
+        const WalkItem p = walk_[walkHead_++];
 
         BlockCorrelationTable *bt = blockTables_.find(predCur_);
         if (bt == nullptr) {
@@ -313,19 +313,22 @@ Prefetcher::runChain()
         }
         // A visited entry is live: visit() stamps it in the fresh
         // window even when prefetching keeps it from ever faulting
-        // again. The view aliases the table's packed successor array.
+        // again. A swept entry's hint spares the probe unless the
+        // table changed while the chain was paused. The view aliases
+        // the table's packed successor array.
         // issue() only pushes into the driver's queue and the
         // protection stamps — it never touches the block tables — so
         // iterating the array in place is safe; no defensive copy.
-        SuccView succs = bt->visit(p);
+        SuccView succs = bt->visit(p.block, p.hint);
         bool end_met = false;
         for (mem::BlockId s : succs) {
-            if (!markSeen(s))
+            uvm::BlockIndex i;
+            if (!markSeen(s, i))
                 continue;
-            issue(chainDepth_, s);
+            issue(chainDepth_, s, i);
             if (s == bt->end())
                 end_met = true;
-            support::pushAmortized(walk_, s);
+            support::pushAmortized(walk_, WalkItem{s, kNoEntry});
         }
         // Meeting the end block signals the kernel's chain is
         // complete, but residual-fault "shortcut" edges can surface
@@ -383,9 +386,10 @@ Prefetcher::transitionChain()
 
         clearWalk();
         ++seenGen_;
-        markSeen(bt->start());
-        issue(chainDepth_, bt->start());
-        support::pushAmortized(walk_, bt->start());
+        uvm::BlockIndex i;
+        markSeen(bt->start(), i);
+        issue(chainDepth_, bt->start(), i);
+        support::pushAmortized(walk_, WalkItem{bt->start(), kNoEntry});
         enterKernelTable(chainDepth_);
 
         if (chainDepth_ >= cfg_.lookaheadN) {

@@ -20,19 +20,23 @@
  * the O(1) per-activation clear), and the protection probe the
  * eviction policy hits per LRU step is one array read and a compare.
  *
- * The steady-state chain walk is allocation-free and probes a table
- * once per entry it touches: the prediction window is a fixed ring of
- * exec IDs plus one stamp per block, the walk queue is a reused
- * vector consumed by index, visit() stamps an entry and returns a
- * view into the table's packed successor array, the fresh-entry sweep
- * fills a reused scratch vector with entry indices that stamp their
- * entries without a second probe, and the pending completion ticks
- * live in an ExecId-indexed dense table whose per-exec vectors are
- * drained with clear() (capacity retained). That contract is machine-checked: the
- * fault/chain entry points are DEEPUM_NOALLOC and tools/analyzer/
- * proves their call graphs reach allocation only through the
- * documented DEEPUM_ALLOC_OK hatches (scratch growth, amortized
- * vector growth, opt-in tracing).
+ * The steady-state chain walk is allocation-free, probes a table at
+ * most once per entry it touches, and looks each block up in the
+ * driver's BlockStore once per chain step: the prediction window is a
+ * fixed ring of exec IDs plus one stamp per block, the walk queue is
+ * a reused vector consumed by index, visit() stamps an entry and
+ * returns a view into the table's packed successor array, the
+ * fresh-entry sweep fills a reused scratch vector with entry indices
+ * that stamp their entries without a second probe and ride along in
+ * the walk as visit() hints, markSeen() hands the slot it resolved to
+ * protect() and the driver's enqueuePrefetchAt(), and the pending
+ * completion ticks live in an ExecId-indexed dense table whose
+ * per-exec vectors are drained with clear() (capacity retained). That
+ * contract is machine-checked: the fault/chain entry points are
+ * DEEPUM_NOALLOC and tools/analyzer/ proves their call graphs reach
+ * allocation only through the documented DEEPUM_ALLOC_OK hatches
+ * (scratch growth, amortized vector growth, the driver's prefetch
+ * push, opt-in tracing).
  */
 
 #pragma once
@@ -244,7 +248,11 @@ class Prefetcher
     void dumpState(std::ostream &os) const;
 
   private:
-    /** Size the index-keyed scratch arrays to the driver's slab. */
+    /**
+     * Size the index-keyed scratch arrays to the driver's slab. Run on
+     * entry to each activation: the slab grows only between events,
+     * never inside one.
+     */
     DEEPUM_ALLOC_OK("scratch arrays grow with the slab, not per fault")
     void
     growScratch()
@@ -258,16 +266,18 @@ class Prefetcher
 
     /**
      * Mark @p b visited in this activation; @return true on first
-     * visit. Unknown blocks count as first visits (the driver drops
-     * their enqueues; matches the former hash-set semantics).
+     * visit. @p i is set to @p b's store slot, the one lookup of the
+     * chain step: protect() and issue() take it. Unknown blocks
+     * (kNoBlockIndex) count as first visits; the driver drops their
+     * enqueues. The scratch arrays must cover the slab
+     * (growScratch()).
      */
     DEEPUM_NOALLOC bool
-    markSeen(mem::BlockId b)
+    markSeen(mem::BlockId b, uvm::BlockIndex &i)
     {
-        uvm::BlockIndex i = drv_.store().find(b);
+        i = drv_.store().find(b);
         if (i == uvm::kNoBlockIndex)
             return true;
-        growScratch();
         if (seenEpoch_[i] == seenGen_)
             return false;
         seenEpoch_[i] = seenGen_;
@@ -291,8 +301,14 @@ class Prefetcher
             pendingDone_.resize(std::size_t(exec_id) + 1);
     }
 
-    /** Protect @p b for window slot @p slot. */
-    DEEPUM_NOALLOC void protect(std::size_t slot, mem::BlockId b);
+    /** Protect the block in store slot @p i (kNoBlockIndex: none) for
+     * window slot @p slot. */
+    DEEPUM_NOALLOC void
+    protect(std::size_t slot, uvm::BlockIndex i)
+    {
+        if (i != uvm::kNoBlockIndex)
+            window_.protect(slot, i);
+    }
 
     /** Drop the front slot (its kernel retired or mispredicted). */
     DEEPUM_NOALLOC void popFrontSlot();
@@ -300,8 +316,10 @@ class Prefetcher
     /** Drop every slot and kill the chain. */
     DEEPUM_NOALLOC void clearAllSlots();
 
-    /** Enqueue @p b and protect it for slot @p slot. */
-    DEEPUM_NOALLOC void issue(std::size_t slot, mem::BlockId b);
+    /** Enqueue @p b, in store slot @p i, and protect it for slot
+     * @p slot. */
+    DEEPUM_NOALLOC void issue(std::size_t slot, mem::BlockId b,
+                              uvm::BlockIndex i);
 
     /** Issue all live entries of @p slot's kernel table. */
     DEEPUM_NOALLOC void enterKernelTable(std::size_t slot);
@@ -344,9 +362,18 @@ class Prefetcher
     ExecId predCur_ = kNoExecId;     ///< kernel being prefetched for
     ExecHistory predHist_{kNoExecId, kNoExecId, kNoExecId};
     std::uint32_t chainDepth_ = 0;   ///< window index being filled
-    /** Blocks whose successors to visit: a reused vector consumed by
-     * walkHead_ (FIFO without deque segment churn). */
-    std::vector<mem::BlockId> walk_;
+    /**
+     * A block whose successors to visit, and the index of its entry in
+     * the kernel's table when the fresh-entry sweep found it (a
+     * visit() hint, checked there; kNoEntry otherwise).
+     */
+    struct WalkItem {
+        mem::BlockId block;
+        BlockCorrelationTable::EntryIndex hint;
+    };
+    /** The walk queue: a reused vector consumed by walkHead_ (FIFO
+     * without deque segment churn). */
+    std::vector<WalkItem> walk_;
     std::size_t walkHead_ = 0;
     /** Scratch for the fresh-entry sweep (reused across activations). */
     std::vector<BlockCorrelationTable::EntryIndex> freshScratch_;

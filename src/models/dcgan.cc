@@ -97,7 +97,11 @@ buildDcgan(const DcganSpec &spec, std::uint64_t batch)
     // The fake pass reuses D's weights but needs its own activations.
     Net disc_f = disc_r;
     for (std::uint32_t i = 0; i < spec.layers; ++i) {
-        std::string tag = "D" + std::to_string(i) + ".fake";
+        // Appended rather than `"D" + std::to_string(i)`: g++ 12 warns
+        // falsely (-Wrestrict) on that operator+ once inlined here.
+        std::string tag = "D";
+        tag += std::to_string(i);
+        tag += ".fake";
         disc_f.act[i] = b.transient(
             tag + ".act", std::max<std::uint64_t>(
                               act_total / 4 / spec.layers, 64 * 1024));

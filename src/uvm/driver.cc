@@ -171,18 +171,12 @@ Driver::markInactiveRange(mem::VAddr va, std::uint64_t bytes,
 // --------------------------------------------------------------------
 
 bool
-Driver::enqueuePrefetch(mem::BlockId block, std::uint32_t exec_id,
-                        std::uint32_t depth)
+Driver::pushPrefetch(BlockIndex i, mem::BlockId block,
+                     std::uint32_t exec_id, std::uint32_t depth)
 {
-    BlockIndex i = store_.find(block);
-    if (i == kNoBlockIndex)
-        return false;
-    BlockInfo &bi = store_.at(i);
-    if (bi.loc == Loc::Device || bi.queuedPrefetch || bi.queuedFault)
-        return false;
     if (!prefetchQueue_.push(MigrateCmd{block, exec_id, depth}))
         return false;
-    bi.queuedPrefetch = true;
+    store_.at(i).queuedPrefetch = true;
     ++prefetchIssued_;
     if (auto *tr = eventq().tracer())
         tr->counter(sim::Track::PrefetchQueue, "prefetchQueueDepth",

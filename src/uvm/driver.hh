@@ -125,18 +125,39 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
      * Enqueue a prefetch command. @p depth is the chain depth the
      * prediction was made at (0 = the running kernel; ledger input).
      * @return false if dropped (full queue, already resident/queued,
-     * or unknown block).
+     * or unknown block). For callers without the block's store slot
+     * (the runtime's memPrefetchAsync, tests); the chain walk has it.
+     */
+    bool
+    enqueuePrefetch(mem::BlockId block, std::uint32_t exec_id,
+                    std::uint32_t depth = 0)
+    {
+        return enqueuePrefetchAt(store_.find(block), block, exec_id, depth);
+    }
+
+    /**
+     * enqueuePrefetch() for a block whose store slot @p i the caller
+     * has already resolved (store().find(), kNoBlockIndex when
+     * unknown), so that a chain step looks its block up once. The
+     * reject test is inline: most chain issues end at its flags.
      *
-     * The prefetcher's DEEPUM_NOALLOC chain walk prunes at this
-     * boundary: the command ring grows only until it reaches the
-     * deepest queue the run needs (at most its bound), and the
+     * The prefetcher's DEEPUM_NOALLOC chain walk prunes at the
+     * out-of-line push: the command ring grows only until it reaches
+     * the deepest queue the run needs (at most its bound), and the
      * residual drain event / tracer counter it may arm are amortized
      * or opt-in, not per-command costs.
      */
-    DEEPUM_ALLOC_OK("command ring grows to its bound once; drain event "
-                    "and tracing are amortized or opt-in")
-    bool enqueuePrefetch(mem::BlockId block, std::uint32_t exec_id,
-                         std::uint32_t depth = 0);
+    DEEPUM_NOALLOC bool
+    enqueuePrefetchAt(BlockIndex i, mem::BlockId block,
+                      std::uint32_t exec_id, std::uint32_t depth)
+    {
+        if (i == kNoBlockIndex)
+            return false;
+        const BlockInfo &bi = store_.at(i);
+        if (bi.loc == Loc::Device || bi.queuedPrefetch || bi.queuedFault)
+            return false;
+        return pushPrefetch(i, block, exec_id, depth);
+    }
 
     /** Commands waiting in the prefetch queue. */
     std::size_t prefetchQueueDepth() const { return prefetchQueue_.size(); }
@@ -218,6 +239,12 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
                             sim::Tick now, gpu::FaultBuffer &fb) override;
 
   private:
+    /** Queue a prefetch that passed enqueuePrefetchAt()'s test. */
+    DEEPUM_ALLOC_OK("command ring grows to its bound once; drain event "
+                    "and tracing are amortized or opt-in")
+    bool pushPrefetch(BlockIndex i, mem::BlockId block,
+                      std::uint32_t exec_id, std::uint32_t depth);
+
     /** Fault-handling thread body: fetch + preprocess batch_. */
     void handleFaults();
 

@@ -57,8 +57,9 @@ TEST(UseOracle, WrapsToNextIteration)
     auto t0 = o.tensorsOf(0).front();
     // Immediately after its last use the distance wraps around.
     std::uint64_t d = o.nextUseDistance(o.opCount() - 1, t0);
-    if (d != 0)
+    if (d != 0) {
         EXPECT_LT(d, 2 * o.opCount());
+    }
     EXPECT_GT(o.useCount(t0), 0u);
 }
 
@@ -264,8 +265,9 @@ TEST(Sentinel, PinsHotDataOnly)
     // Single-use (cold) tensors are never pinned.
     for (torch::TensorId t = 0;
          t < static_cast<torch::TensorId>(tape.tensors.size()); ++t) {
-        if (oracle.useCount(t) < 2)
+        if (oracle.useCount(t) < 2) {
             EXPECT_FALSE(p.mustStayResident(t));
+        }
     }
 }
 

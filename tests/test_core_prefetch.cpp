@@ -3,8 +3,9 @@
  * Unit tests for the correlator, prefetcher (chaining semantics),
  * DeepUM eviction policy, and pre-evictor, wired to a real driver on
  * a small simulated GPU, plus a property test of the prediction
- * window's protected set against the per-slot refcount design and
- * model-based and direct tests of the resumable victim walk.
+ * window's protected set against the per-slot refcount design,
+ * model-based and direct tests of the resumable victim walk, and a
+ * paused chain whose swept index hints an erase has made stale.
  */
 
 #include <gtest/gtest.h>
@@ -230,6 +231,16 @@ TEST(PredictionWindow, MatchesPerSlotRefcountModel)
 
 constexpr std::uint64_t kGpuBlocks = 8;
 
+/** "k<k>". Appended: g++ 12 warns falsely (-Wrestrict) on
+ * `"k" + std::to_string(k)` here. */
+std::string
+kernelName(int k)
+{
+    std::string name = "k";
+    name += std::to_string(k);
+    return name;
+}
+
 struct DeepUmWorld {
     sim::EventQueue eq;
     sim::StatSet stats;
@@ -321,7 +332,7 @@ TEST(DeepUmPipeline, PrefetchCoversEvictedBlocksAcrossIterations)
 
     auto iteration = [&] {
         for (int k = 0; k < 6; ++k) {
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
         }
     };
@@ -345,7 +356,7 @@ TEST(DeepUmPipeline, PrefetchDisabledIssuesNothing)
     mem::BlockId b0 = mem::blockOf(va);
     for (int i = 0; i < 3; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_EQ(w.stats.get("uvm.prefetchIssued"), 0u);
     EXPECT_EQ(w.stats.get("prefetcher.blocksIssued"), 0u);
@@ -360,7 +371,7 @@ TEST(DeepUmPipeline, PreevictKeepsFreeWatermark)
     mem::BlockId b0 = mem::blockOf(va);
     for (int i = 0; i < 4; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_GT(w.stats.get("uvm.preEvictions"), 0u);
 }
@@ -374,7 +385,7 @@ TEST(DeepUmPipeline, PreevictDisabledNeverPreevicts)
     mem::BlockId b0 = mem::blockOf(va);
     for (int i = 0; i < 4; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_EQ(w.stats.get("uvm.preEvictions"), 0u);
 }
@@ -426,6 +437,59 @@ TEST(DeepUmPipeline, InvalidationFlagReachesDriver)
     w.launch("more", 3, {b0 + 8, b0 + 9});
     EXPECT_GT(w.stats.get("uvm.invalidatedBlocks"), 0u);
     EXPECT_EQ(w.stats.get("uvm.evictedBlocks"), 0u);
+}
+
+TEST(DeepUmPipeline, PausedChainChecksSweptIndicesShiftedByAnErase)
+{
+    // A chain paused at the lookahead limit keeps the entries it swept
+    // on entering the next kernel in its walk, each with its index as
+    // a visit() hint. Erasing a lower-indexed entry before the chain
+    // resumes shifts every one of them down an index; the resumed walk
+    // must still issue the swept entries' successors, not those of the
+    // entries that slid under their old indices. The event queue never
+    // runs, so every issued prefetch stays queued.
+    DeepUmConfig cfg;
+    cfg.lookaheadN = 1; // pause on entering the predicted kernel
+    cfg.preevict = false;
+    DeepUmWorld w(cfg);
+    const mem::BlockId b0 = mem::blockOf(w.reg(64));
+    auto queued = [&](mem::BlockId b) {
+        return w.drv.blockInfo(b).queuedPrefetch;
+    };
+
+    // Exec 2's table: ten entries, tag t with the one successor t + 20.
+    // Ageing the even-indexed ones out of the fresh window leaves a
+    // stale entry above each swept one.
+    BlockCorrelationTable &bt = w.dum->blockTables().getOrCreate(2);
+    for (mem::BlockId t = b0 + 10; t < b0 + 20; ++t)
+        bt.record(t, t + 20);
+    const std::vector<mem::BlockId> order = bt.freshTags(4);
+    ASSERT_EQ(order.size(), 10u);
+    for (int e = 0; e < 5; ++e)
+        bt.captureStartEnd(b0 + 50, b0 + 51, 1);
+    for (std::size_t k = 1; k < order.size(); k += 2)
+        bt.refresh(order[k]);
+    ASSERT_EQ(bt.freshTags(4).size(), 5u);
+    bt.setStart(b0 + 50); // no entry, never met as the end
+    bt.setEnd(b0 + 51);
+
+    // Exec 1 is followed by exec 2: a fault batch in exec 1 chains
+    // into exec 2's table and pauses there.
+    w.dum->notifyKernelLaunch(1);
+    w.dum->notifyKernelLaunch(2);
+    w.dum->notifyKernelLaunch(1);
+    w.dum->onFaultBatch({b0, b0 + 1});
+    ASSERT_EQ(w.stats.get("prefetcher.chainPauses"), 1u);
+    ASSERT_EQ(w.dum->prefetcher().chainDepth(), 1u);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        ASSERT_EQ(queued(order[k]), k % 2 == 1) << "entry " << k;
+        ASSERT_FALSE(queued(order[k] + 20)) << "entry " << k;
+    }
+
+    bt.erase(order[0]);
+    w.dum->onKernelEnd(w.kernel_);
+    for (std::size_t k = 1; k < order.size(); ++k)
+        EXPECT_EQ(queued(order[k] + 20), k % 2 == 1) << "entry " << k;
 }
 
 // ------------------------------------------------ resumable victim walk

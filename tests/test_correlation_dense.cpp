@@ -7,9 +7,9 @@
  * the packed layout makes subtle — rank bases kept across inserts
  * and erases, set-conflict LRU replacement, MRU reordering at
  * successor capacity, range erasure compaction, stamping by swept
- * index — plus the SuccView lifetime contract, the construction
- * footprint, and the allocation-free guarantee of the steady-state
- * record/lookup paths.
+ * index, visits hinted with stale indices — plus the SuccView lifetime
+ * contract, the construction footprint, and the allocation-free
+ * guarantee of the steady-state record/lookup paths.
  */
 
 #include <gtest/gtest.h>
@@ -245,9 +245,9 @@ compareAll(const BlockCorrelationTable &t, RefTable &m,
 
 /**
  * Drive the table and the model through one long random op sequence
- * — record, erase, eraseRange, refresh, the chain walk's fused visit,
- * stamping a fresh sweep by index, captureStartEnd — comparing them
- * at regular checkpoints.
+ * — record, erase, eraseRange, refresh, the chain walk's fused visit
+ * with and without an index hint, stamping a fresh sweep by index,
+ * captureStartEnd — comparing them at regular checkpoints.
  */
 void
 matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
@@ -256,10 +256,15 @@ matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
     BlockCorrelationTable t(cfg);
     RefTable m(cfg);
     sim::Rng rng(seed);
+    // The last sweep's indices and the tags they named then: later
+    // inserts and erases shift or retag entries under them.
     std::vector<BlockCorrelationTable::EntryIndex> fresh;
+    std::vector<mem::BlockId> swept;
+    int valid_hints = 0;
+    int stale_hints = 0;
 
     for (int step = 0; step < 8000; ++step) {
-        std::uint64_t op = rng.below(100);
+        std::uint64_t op = rng.below(106);
         if (op < 64) {
             mem::BlockId prev = rng.below(universe);
             mem::BlockId next = rng.below(universe);
@@ -289,13 +294,42 @@ matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
             ASSERT_NO_FATAL_FAILURE(expectSuccs(
                 got, e != nullptr ? e->succs : std::vector<mem::BlockId>{},
                 b));
-        } else if (op < 95) {
+        } else if (op < 97) {
+            // A hinted visit, as the chain walk makes for swept
+            // entries. The model ignores the hint: a plain visit.
+            mem::BlockId b = rng.below(universe);
+            BlockCorrelationTable::EntryIndex hint =
+                BlockCorrelationTable::kNoEntry;
+            std::uint64_t kind = rng.below(8);
+            if (kind < 5 && !fresh.empty()) {
+                // A swept tag with its index from that sweep.
+                std::size_t k = rng.below(fresh.size());
+                b = swept[k];
+                hint = fresh[k];
+                bool valid =
+                    hint < t.entryCount() && t.tagAt(hint) == b;
+                ++(valid ? valid_hints : stale_hints);
+            } else if (kind < 6) {
+                hint = static_cast<BlockCorrelationTable::EntryIndex>(
+                    rng.below(t.entryCount() + 4));
+            } else if (kind < 7) {
+                hint = static_cast<BlockCorrelationTable::EntryIndex>(
+                    t.entryCount() + 1);
+            } // else no hint
+            SuccView got = t.visit(b, hint);
+            m.refresh(b);
+            const RefEntry *e = m.find(b);
+            ASSERT_NO_FATAL_FAILURE(expectSuccs(
+                got, e != nullptr ? e->succs : std::vector<mem::BlockId>{},
+                b));
+        } else if (op < 101) {
             // Kernel entry: sweep the fresh entries, then stamp a
             // random subset by index, in sweep order.
             std::uint32_t window = static_cast<std::uint32_t>(rng.below(5));
             t.freshEntries(window, fresh);
             std::vector<mem::BlockId> want = m.freshTags(window);
             ASSERT_EQ(fresh.size(), want.size());
+            swept = want;
             for (std::size_t k = 0; k < fresh.size(); ++k) {
                 ASSERT_EQ(t.tagAt(fresh[k]), want[k]) << "fresh " << k;
                 if (rng.below(2) != 0) {
@@ -317,6 +351,9 @@ matchReferenceModel(const BlockTableConfig &cfg, mem::BlockId universe,
     }
     ASSERT_NO_FATAL_FAILURE(compareAll(t, m, universe));
     EXPECT_GT(m.epoch, 100u); // the windows were exercised
+    // Swept hints were both trusted and caught stale.
+    EXPECT_GT(valid_hints, 0);
+    EXPECT_GT(stale_hints, 0);
 }
 
 TEST(CorrelationDense, BlockTableMatchesReferenceModel)

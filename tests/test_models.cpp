@@ -55,8 +55,9 @@ checkLiveness(const Tape &tape)
                         << op.name << " uses dead tensor "
                         << tape.tensors[u.tensor].name;
                 }
-                if (op.gatherTensor != kNoTensor)
+                if (op.gatherTensor != kNoTensor) {
                     ASSERT_TRUE(live[op.gatherTensor]);
+                }
                 break;
               }
             }

@@ -76,8 +76,9 @@ TEST_P(AllocatorFuzz, RandomAllocFreeKeepsInvariants)
             ASSERT_GE(rounded, size);
             // No overlap with any live block.
             auto it = live.upper_bound(p);
-            if (it != live.end())
+            if (it != live.end()) {
                 ASSERT_LE(p + rounded, it->first);
+            }
             if (it != live.begin()) {
                 --it;
                 ASSERT_LE(it->first + it->second, p);
@@ -235,8 +236,9 @@ TEST_P(VaFuzz, RandomRangesNeverOverlap)
                 continue;
             std::uint64_t sz = va.sizeOf(p);
             auto it = live.upper_bound(p);
-            if (it != live.end())
+            if (it != live.end()) {
                 ASSERT_LE(p + sz, it->first);
+            }
             if (it != live.begin()) {
                 --it;
                 ASSERT_LE(it->first + it->second, p);
