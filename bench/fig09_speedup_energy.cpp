@@ -44,7 +44,7 @@ main(int argc, char **argv)
     auto scfg = swapConfig(cfg);
 
     // Flags: the shared --jobs plus --json <path> (machine-readable
-    // per-cell output mirroring sim_throughput's --out).
+    // per-cell output).
     unsigned jobs = 1;
     std::string json_path;
     for (int i = 1; i < argc; ++i) {

@@ -6,17 +6,14 @@
  * paper argues are cheap enough to hide in fault handling — plus the
  * simulator's own hot core: event-queue push/pop and the
  * EventFn callable vs std::function — and the block-metadata
- * structures: the dense BlockStore range probe vs the pre-rewrite
- * unordered_map::find, and the intrusive slab LRU vs the former
- * std::list + BlockId->iterator side map.
+ * structures: the dense BlockStore probe, its intrusive LRU, and the
+ * driver's fault and prefetch queue drains.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "core/block_correlation_table.hh"
@@ -251,8 +248,8 @@ BENCHMARK(BM_StdFunctionConstructInvoke);
 
 // Block-metadata lookups. The driver probes per fault-buffer entry,
 // per residency check, and per LRU step; state.range(0) is the
-// number of registered ranges the store's run table holds (an
-// allocation-heavy net has many, a toy test has one).
+// number of ranges registered with the store (an allocation-heavy
+// net has many, a toy test has one).
 
 /** Deterministic block addresses spread over @p ranges runs. */
 std::vector<mem::BlockId>
@@ -286,29 +283,8 @@ BM_BlockStoreProbe(benchmark::State &state)
 }
 BENCHMARK(BM_BlockStoreProbe)->Arg(1)->Arg(8)->Arg(64);
 
-void
-BM_UnorderedMapProbe(benchmark::State &state)
-{
-    const std::uint64_t ranges = state.range(0), per = 512;
-    std::unordered_map<mem::BlockId, uvm::BlockInfo> blocks;
-    for (std::uint64_t r = 0; r < ranges; ++r) {
-        mem::BlockId base = mem::blockOf(mem::kUmBase) + r * 4 * per;
-        for (std::uint64_t j = 0; j < per; ++j)
-            blocks[base + j];
-    }
-    const auto addrs = blockAddrs(ranges, per);
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(blocks.find(addrs[++n & 8191]));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_UnorderedMapProbe)->Arg(1)->Arg(8)->Arg(64);
-
-// LRU requeue (a migration completing moves its block to the back).
-// The intrusive version is two index writes in records the probe
-// already touched; the pre-rewrite version pays a hash lookup into
-// the side map plus list-node churn.
+// LRU requeue (a migration completing moves its block to the back):
+// two index writes in records the probe already touched.
 
 void
 BM_IntrusiveLruRequeue(benchmark::State &state)
@@ -331,30 +307,8 @@ BM_IntrusiveLruRequeue(benchmark::State &state)
 }
 BENCHMARK(BM_IntrusiveLruRequeue);
 
-void
-BM_ListMapLruRequeue(benchmark::State &state)
-{
-    const std::uint64_t per = 4096;
-    mem::BlockId base = mem::blockOf(mem::kUmBase);
-    std::list<mem::BlockId> lru;
-    std::unordered_map<mem::BlockId, std::list<mem::BlockId>::iterator>
-        pos;
-    for (std::uint64_t j = 0; j < per; ++j)
-        pos[base + j] = lru.insert(lru.end(), base + j);
-    sim::Rng rng(12);
-    for (auto _ : state) {
-        mem::BlockId b = base + rng.below(per);
-        auto it = pos.find(b);
-        lru.erase(it->second);
-        it->second = lru.insert(lru.end(), b);
-    }
-    benchmark::DoNotOptimize(lru.back());
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ListMapLruRequeue);
-
 // --------------------------------------------------------------------
-// Fault-servicing queues and shard dispatch (PR 10)
+// Fault-servicing queues
 // --------------------------------------------------------------------
 
 /**

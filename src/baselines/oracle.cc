@@ -5,7 +5,7 @@
 namespace deepum::baselines {
 
 UseOracle::UseOracle(const torch::Tape &tape)
-    : tape_(tape), usePos_(tape.tensors.size())
+    : usePos_(tape.tensors.size())
 {
     for (const auto &step : tape.iteration) {
         if (step.kind != torch::StepKind::Launch)
@@ -27,7 +27,6 @@ UseOracle::UseOracle(const torch::Tape &tape)
         for (torch::TensorId t : used)
             usePos_[t].push_back(pos);
         opTensors_.push_back(std::move(used));
-        opIndex_.push_back(step.opIndex);
         computeNs_.push_back(op.computeNs);
     }
 }

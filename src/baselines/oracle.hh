@@ -38,9 +38,6 @@ class UseOracle
         return opTensors_[pos];
     }
 
-    /** Tape op index behind flattened position @p pos. */
-    std::int32_t tapeOpOf(std::size_t pos) const { return opIndex_[pos]; }
-
     /**
      * Ops until tensor @p t is used at or after position @p pos
      * (0 = used by the op at @p pos). Wraps to the next iteration;
@@ -60,9 +57,7 @@ class UseOracle
     sim::Tick computeOf(std::size_t pos) const { return computeNs_[pos]; }
 
   private:
-    const torch::Tape &tape_;
     std::vector<std::vector<torch::TensorId>> opTensors_;
-    std::vector<std::int32_t> opIndex_;
     std::vector<sim::Tick> computeNs_;
     /** Sorted use positions per tensor. */
     std::vector<std::vector<std::uint32_t>> usePos_;

@@ -47,9 +47,6 @@ class Correlator
     /** The three kernels that ran before the current one. */
     const ExecHistory &history() const { return hist_; }
 
-    /** Last faulted block seen in the current kernel. */
-    mem::BlockId lastFaultBlock() const { return lastFault_; }
-
     /**
      * Disable the start/end capture hysteresis: commit the pointers
      * on every execution (mechanism ablation, DESIGN.md section 6).

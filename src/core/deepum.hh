@@ -55,7 +55,6 @@ class DeepUm : public uvm::DriverListener
     const BlockCorrelationTableSet &blockTables() const { return blockTables_; }
     const Correlator &correlator() const { return correlator_; }
     const Prefetcher &prefetcher() const { return prefetcher_; }
-    const PreEvictor &preEvictor() const { return preEvictor_; }
 
     /** Mutable table access (validation tests seed violations here). */
     BlockCorrelationTableSet &blockTables() { return blockTables_; }

@@ -34,8 +34,6 @@ class PreEvictor
      */
     void poke();
 
-    std::uint64_t watermarkPages() const { return watermark_; }
-
   private:
     uvm::Driver &drv_;
     std::uint64_t watermark_;

@@ -232,9 +232,6 @@ class Prefetcher
     /** Number of kernels the chain has advanced past the current. */
     std::uint32_t chainDepth() const { return chainDepth_; }
 
-    /** True if a chain is live (possibly paused). */
-    bool chainActive() const { return active_; }
-
     /**
      * Audit the protection bookkeeping (sim/validate.hh): the window
      * (its ring sized to the lookahead bound, no stamp beyond its

@@ -73,9 +73,6 @@ class Runtime
     /** Runtime-side execution ID table. */
     const ExecutionIdTable &execIds() const { return execIds_; }
 
-    /** True when a DeepUm module is attached. */
-    bool deepUmAttached() const { return deepum_ != nullptr; }
-
   private:
     mem::VaSpace &va_;
     uvm::Driver &drv_;

@@ -62,9 +62,6 @@ class Session
      */
     bool run();
 
-    /** True if the run aborted on allocator OOM. */
-    bool oom() const { return oom_; }
-
     /** Per-iteration snapshots (one per completed iteration). */
     const std::vector<IterSnapshot> &snapshots() const { return snaps_; }
 

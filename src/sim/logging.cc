@@ -27,12 +27,6 @@ setLogLevel(LogLevel level)
     return prev;
 }
 
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 void
 inform(const char *fmt, ...)
 {

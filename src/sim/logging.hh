@@ -27,9 +27,6 @@ enum class LogLevel {
 /** Set the global log verbosity. @return the previous level. */
 LogLevel setLogLevel(LogLevel level);
 
-/** @return the current global log verbosity. */
-LogLevel logLevel();
-
 /** Print an informational message (printf-style). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

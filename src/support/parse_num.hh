@@ -4,9 +4,10 @@
  *
  * std::strtoull alone accepts a sign ("-5" wraps to 2^64 - 5),
  * leading blanks and trailing junk ("abc" reads as 0), and a caller's
- * narrowing cast then wraps values wider than the field. simctl and
- * bench/fault_path parse every number through parseNum() instead, so
- * a bad value is rejected up front with an error naming its flag.
+ * narrowing cast then wraps values wider than the field. simctl, the
+ * examples and the benches' --jobs parse their numbers through
+ * parseNum() instead, so a bad value is rejected up front with an
+ * error naming its flag.
  */
 
 #pragma once

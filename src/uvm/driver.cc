@@ -249,12 +249,10 @@ Driver::faultInterrupt()
 }
 
 void
-Driver::onKernelBegin(const gpu::KernelInfo &k)
+Driver::onKernelBegin(const gpu::KernelInfo &)
 {
     if (ledger_ != nullptr)
         ledger_->onKernelBegin(curTick());
-    for (auto *l : listeners_)
-        l->onKernelBegin(k);
 }
 
 void
@@ -629,8 +627,6 @@ Driver::evictBlock(mem::BlockId victim, sim::Tick &t, bool demand)
                               invalidate ? "invalidate" : "writeback"),
              sim::Tracer::arg("block", victim),
              sim::Tracer::arg("pages", std::uint64_t(bi.pages))});
-    for (auto *l : listeners_)
-        l->onBlockEvicted(victim, invalidate);
 }
 
 // --------------------------------------------------------------------

@@ -173,9 +173,6 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
      */
     bool preEvictOne();
 
-    /** True if the migration thread has nothing in flight. */
-    bool migrationIdle() const { return !migBusy_; }
-
     // --- queries ----------------------------------------------------
 
     /** Per-block info; panics on unknown block. */

@@ -31,9 +31,6 @@ class DriverListener
         (void)blocks;
     }
 
-    /** A kernel began executing. */
-    virtual void onKernelBegin(const gpu::KernelInfo &k) { (void)k; }
-
     /** The running kernel retired. */
     virtual void onKernelEnd(const gpu::KernelInfo &k) { (void)k; }
 
@@ -43,14 +40,6 @@ class DriverListener
     {
         (void)block;
         (void)was_prefetch;
-    }
-
-    /** @p block left device memory (@p invalidated: dropped, no copy). */
-    virtual void
-    onBlockEvicted(mem::BlockId block, bool invalidated)
-    {
-        (void)block;
-        (void)invalidated;
     }
 
     /** The migration thread ran out of queued work. */
