@@ -22,6 +22,10 @@ struct Row {
     std::string label;
     harness::RunResult um, dum, ideal;
     baselines::SwapResult lms, lmsmod;
+    /** Speedups over UM; a baseline that failed reads 0. */
+    double sLms = 0, sMod = 0, sDum = 0, sIdeal = 0;
+    /** Energy ratios over UM. */
+    double eLms = 0, eMod = 0, eDum = 0;
 };
 
 /** "1.2345" or "null" for a non-finite/absent value. */
@@ -79,46 +83,61 @@ main(int argc, char **argv)
                 baselines::BaselineKind::Lms, tape, scfg);
             r.lmsmod = baselines::runBaseline(
                 baselines::BaselineKind::LmsMod, tape, scfg);
+
+            auto speedup = [&](double t) {
+                return t > 0 ? r.um.secPer100Iters / t : 0.0;
+            };
+            if (r.lms.ok)
+                r.sLms = speedup(r.lms.secPer100Iters);
+            if (r.lmsmod.ok)
+                r.sMod = speedup(r.lmsmod.secPer100Iters);
+            r.sDum = speedup(r.dum.secPer100Iters);
+            r.sIdeal = speedup(r.ideal.secPer100Iters);
+            r.eLms = r.lms.energyJPerIter / r.um.energyJPerIter;
+            r.eMod = r.lmsmod.energyJPerIter / r.um.energyJPerIter;
+            r.eDum = r.dum.energyJPerIter / r.um.energyJPerIter;
             return r;
         });
 
-    auto speedup = [](const harness::RunResult &um, double t) {
-        return t > 0 ? um.secPer100Iters / t : 0.0;
-    };
+    // Gmeans over the cells where each system ran.
+    std::vector<double> s_lms, s_mod, s_dum, s_idl, e_lms, e_mod, e_dum;
+    for (const Row &r : rows) {
+        if (r.lms.ok) {
+            s_lms.push_back(r.sLms);
+            e_lms.push_back(r.eLms);
+        }
+        if (r.lmsmod.ok) {
+            s_mod.push_back(r.sMod);
+            e_mod.push_back(r.eMod);
+        }
+        s_dum.push_back(r.sDum);
+        s_idl.push_back(r.sIdeal);
+        e_dum.push_back(r.eDum);
+    }
+    const double gs_lms = harness::geomean(s_lms),
+                 gs_mod = harness::geomean(s_mod),
+                 gs_dum = harness::geomean(s_dum),
+                 gs_idl = harness::geomean(s_idl),
+                 ge_lms = harness::geomean(e_lms),
+                 ge_mod = harness::geomean(e_mod),
+                 ge_dum = harness::geomean(e_dum);
 
     banner("Figure 9(a): speedup of training throughput over naive UM");
     {
         harness::TextTable t(
             {"model/batch", "LMS", "LMS-mod", "DeepUM", "Ideal"});
-        std::vector<double> g_lms, g_mod, g_dum, g_ideal;
         for (const Row &r : rows) {
             auto cell = [&](bool ok, double s) {
                 return ok ? harness::fmtSpeedup(s) : std::string("OOM");
             };
-            double s_lms = r.lms.ok
-                               ? speedup(r.um, r.lms.secPer100Iters)
-                               : 0;
-            double s_mod =
-                r.lmsmod.ok ? speedup(r.um, r.lmsmod.secPer100Iters)
-                            : 0;
-            double s_dum = speedup(r.um, r.dum.secPer100Iters);
-            double s_idl = speedup(r.um, r.ideal.secPer100Iters);
-            if (r.lms.ok)
-                g_lms.push_back(s_lms);
-            if (r.lmsmod.ok)
-                g_mod.push_back(s_mod);
-            g_dum.push_back(s_dum);
-            g_ideal.push_back(s_idl);
-            t.row({r.label, cell(r.lms.ok, s_lms),
-                   cell(r.lmsmod.ok, s_mod),
-                   harness::fmtSpeedup(s_dum),
-                   harness::fmtSpeedup(s_idl)});
+            t.row({r.label, cell(r.lms.ok, r.sLms),
+                   cell(r.lmsmod.ok, r.sMod),
+                   harness::fmtSpeedup(r.sDum),
+                   harness::fmtSpeedup(r.sIdeal)});
         }
-        t.row({"gmean(where run)", harness::fmtSpeedup(
-                                       harness::geomean(g_lms)),
-               harness::fmtSpeedup(harness::geomean(g_mod)),
-               harness::fmtSpeedup(harness::geomean(g_dum)),
-               harness::fmtSpeedup(harness::geomean(g_ideal))});
+        t.row({"gmean(where run)", harness::fmtSpeedup(gs_lms),
+               harness::fmtSpeedup(gs_mod), harness::fmtSpeedup(gs_dum),
+               harness::fmtSpeedup(gs_idl)});
         t.print(std::cout);
     }
 
@@ -144,31 +163,14 @@ main(int argc, char **argv)
     {
         harness::TextTable t(
             {"model/batch", "LMS", "LMS-mod", "DeepUM"});
-        std::vector<double> g_lms, g_mod, g_dum;
         for (const Row &r : rows) {
-            auto ratio = [&](double e) {
-                return e / r.um.energyJPerIter;
-            };
-            std::string lms =
-                r.lms.ok
-                    ? harness::fmtDouble(ratio(r.lms.energyJPerIter))
-                    : "-";
-            std::string mod = r.lmsmod.ok
-                                  ? harness::fmtDouble(ratio(
-                                        r.lmsmod.energyJPerIter))
-                                  : "-";
-            if (r.lms.ok)
-                g_lms.push_back(ratio(r.lms.energyJPerIter));
-            if (r.lmsmod.ok)
-                g_mod.push_back(ratio(r.lmsmod.energyJPerIter));
-            g_dum.push_back(ratio(r.dum.energyJPerIter));
-            t.row({r.label, lms, mod,
-                   harness::fmtDouble(ratio(r.dum.energyJPerIter))});
+            t.row({r.label,
+                   r.lms.ok ? harness::fmtDouble(r.eLms) : "-",
+                   r.lmsmod.ok ? harness::fmtDouble(r.eMod) : "-",
+                   harness::fmtDouble(r.eDum)});
         }
-        t.row({"gmean(where run)",
-               harness::fmtDouble(harness::geomean(g_lms)),
-               harness::fmtDouble(harness::geomean(g_mod)),
-               harness::fmtDouble(harness::geomean(g_dum))});
+        t.row({"gmean(where run)", harness::fmtDouble(ge_lms),
+               harness::fmtDouble(ge_mod), harness::fmtDouble(ge_dum)});
         t.print(std::cout);
     }
 
@@ -180,34 +182,9 @@ main(int argc, char **argv)
                          json_path.c_str());
             return 1;
         }
-        std::vector<double> g_lms, g_mod, g_dum, g_ideal;
-        std::vector<double> ge_lms, ge_mod, ge_dum;
         os << "{\n  \"cells\": [\n";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const Row &r = rows[i];
-            double s_lms = r.lms.ok
-                               ? speedup(r.um, r.lms.secPer100Iters)
-                               : 0;
-            double s_mod =
-                r.lmsmod.ok ? speedup(r.um, r.lmsmod.secPer100Iters)
-                            : 0;
-            double s_dum = speedup(r.um, r.dum.secPer100Iters);
-            double s_idl = speedup(r.um, r.ideal.secPer100Iters);
-            double e_lms = r.lms.energyJPerIter / r.um.energyJPerIter;
-            double e_mod =
-                r.lmsmod.energyJPerIter / r.um.energyJPerIter;
-            double e_dum = r.dum.energyJPerIter / r.um.energyJPerIter;
-            if (r.lms.ok) {
-                g_lms.push_back(s_lms);
-                ge_lms.push_back(e_lms);
-            }
-            if (r.lmsmod.ok) {
-                g_mod.push_back(s_mod);
-                ge_mod.push_back(e_mod);
-            }
-            g_dum.push_back(s_dum);
-            g_ideal.push_back(s_idl);
-            ge_dum.push_back(e_dum);
             os << "    {\"label\": \"" << r.label << "\",\n"
                << "     \"secPer100Iters\": {\"um\": "
                << jnum(r.um.secPer100Iters) << ", \"lms\": "
@@ -218,30 +195,26 @@ main(int argc, char **argv)
                << ", \"ideal\": " << jnum(r.ideal.secPer100Iters)
                << "},\n"
                << "     \"speedupOverUm\": {\"lms\": "
-               << jnum(s_lms, r.lms.ok) << ", \"lmsMod\": "
-               << jnum(s_mod, r.lmsmod.ok) << ", \"deepum\": "
-               << jnum(s_dum) << ", \"ideal\": " << jnum(s_idl)
+               << jnum(r.sLms, r.lms.ok) << ", \"lmsMod\": "
+               << jnum(r.sMod, r.lmsmod.ok) << ", \"deepum\": "
+               << jnum(r.sDum) << ", \"ideal\": " << jnum(r.sIdeal)
                << "},\n"
                << "     \"energyRatioOverUm\": {\"lms\": "
-               << jnum(e_lms, r.lms.ok) << ", \"lmsMod\": "
-               << jnum(e_mod, r.lmsmod.ok) << ", \"deepum\": "
-               << jnum(e_dum) << "}}"
+               << jnum(r.eLms, r.lms.ok) << ", \"lmsMod\": "
+               << jnum(r.eMod, r.lmsmod.ok) << ", \"deepum\": "
+               << jnum(r.eDum) << "}}"
                << (i + 1 < rows.size() ? "," : "") << "\n";
         }
         os << "  ],\n"
            << "  \"gmeanSpeedup\": {\"lms\": "
-           << jnum(harness::geomean(g_lms), !g_lms.empty())
-           << ", \"lmsMod\": "
-           << jnum(harness::geomean(g_mod), !g_mod.empty())
-           << ", \"deepum\": " << jnum(harness::geomean(g_dum))
-           << ", \"ideal\": " << jnum(harness::geomean(g_ideal))
-           << "},\n"
+           << jnum(gs_lms, !s_lms.empty()) << ", \"lmsMod\": "
+           << jnum(gs_mod, !s_mod.empty())
+           << ", \"deepum\": " << jnum(gs_dum)
+           << ", \"ideal\": " << jnum(gs_idl) << "},\n"
            << "  \"gmeanEnergyRatio\": {\"lms\": "
-           << jnum(harness::geomean(ge_lms), !ge_lms.empty())
-           << ", \"lmsMod\": "
-           << jnum(harness::geomean(ge_mod), !ge_mod.empty())
-           << ", \"deepum\": " << jnum(harness::geomean(ge_dum))
-           << "}\n"
+           << jnum(ge_lms, !e_lms.empty()) << ", \"lmsMod\": "
+           << jnum(ge_mod, !e_mod.empty())
+           << ", \"deepum\": " << jnum(ge_dum) << "}\n"
            << "}\n";
         std::cout << "\nwrote " << json_path << "\n";
     }

@@ -41,9 +41,9 @@ AutoTmPolicy::plan(const PlanContext &ctx)
 }
 
 bool
-AutoTmPolicy::mustStayResident(torch::TensorId t) const
+AutoTmPolicy::offloadable(torch::TensorId t) const
 {
-    return pinned_[t];
+    return !pinned_[t];
 }
 
 } // namespace deepum::baselines

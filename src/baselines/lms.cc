@@ -23,12 +23,6 @@ LmsPolicy::plan(const PlanContext &ctx)
 }
 
 bool
-LmsPolicy::mustStayResident(torch::TensorId t) const
-{
-    return persistent_[t];
-}
-
-bool
 LmsPolicy::offloadable(torch::TensorId t) const
 {
     return !persistent_[t];

@@ -27,7 +27,6 @@ class LmsPolicy : public SwapPolicy
 
     void plan(const PlanContext &ctx) override;
 
-    bool mustStayResident(torch::TensorId t) const override;
     bool offloadable(torch::TensorId t) const override;
 
     std::uint32_t prefetchDistance() const override { return 1; }

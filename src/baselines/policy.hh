@@ -60,14 +60,10 @@ class SwapPolicy
     /** One-time planning pass (ILP-approx, GA, profiling, ...). */
     virtual void plan(const PlanContext &ctx) { (void)ctx; }
 
-    /** Tensor must never leave device memory. */
-    virtual bool mustStayResident(torch::TensorId t) const
-    {
-        (void)t;
-        return false;
-    }
-
-    /** Tensor is eligible for offloading at all. */
+    /**
+     * Tensor may leave device memory; false pins it there, so it is
+     * never an eviction victim.
+     */
     virtual bool offloadable(torch::TensorId t) const
     {
         (void)t;

@@ -40,7 +40,8 @@ SwapResult runBaseline(BaselineKind kind, const torch::Tape &tape,
                        const SwapConfig &cfg);
 
 /**
- * Largest batch in [lo, hi] that @p kind completes; 0 when even
+ * Largest batch in [lo, hi] that @p kind completes
+ * (harness::largestFitting() over 3-iteration runs); 0 when even
  * @p lo fails (or the model is unsupported).
  */
 std::uint64_t maxBatchBaseline(BaselineKind kind,

@@ -41,9 +41,9 @@ SentinelPolicy::plan(const PlanContext &ctx)
 }
 
 bool
-SentinelPolicy::mustStayResident(torch::TensorId t) const
+SentinelPolicy::offloadable(torch::TensorId t) const
 {
-    return hot_[t];
+    return !hot_[t];
 }
 
 std::size_t

@@ -27,7 +27,7 @@ class SentinelPolicy : public SwapPolicy
 
     void plan(const PlanContext &ctx) override;
 
-    bool mustStayResident(torch::TensorId t) const override;
+    bool offloadable(torch::TensorId t) const override;
 
     std::uint32_t prefetchDistance() const override { return 8; }
     double gpuUsableFraction() const override { return 0.90; }

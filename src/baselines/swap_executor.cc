@@ -69,7 +69,7 @@ SwapExecutor::makeRoom(std::uint64_t need, std::size_t pos, bool demand)
             const TState &s = ts_[t];
             if (!s.exists || s.loc != Loc::Device)
                 continue;
-            if (policy_.mustStayResident(t) || !policy_.offloadable(t))
+            if (!policy_.offloadable(t))
                 continue;
             if (std::find(required.begin(), required.end(), t) !=
                 required.end())
@@ -216,6 +216,10 @@ SwapExecutor::execOp(std::size_t pos)
 SwapResult
 SwapExecutor::run()
 {
+    if (cfg_.warmup >= cfg_.iterations)
+        sim::fatal("iterations (%u) must exceed warmup (%u)",
+                   cfg_.iterations, cfg_.warmup);
+
     SwapResult r;
     if (!policy_.supports(tape_)) {
         r.reason = "model not supported";
@@ -233,11 +237,17 @@ SwapExecutor::run()
             ts_[step.tensor].exists = true;
     }
 
-    std::vector<sim::Tick> iter_end;
-    std::vector<sim::Tick> iter_compute;
-    std::vector<sim::Tick> iter_link;
-    std::vector<std::uint64_t> iter_in, iter_out, iter_stall,
-        iter_evict;
+    // The counters at the end of the last warm-up iteration (all 0
+    // without warm-up); the measured window is everything after.
+    struct Totals {
+        sim::Tick now = 0, compute = 0, link = 0;
+        std::uint64_t in = 0, out = 0, stalls = 0, evictions = 0;
+    };
+    auto totals = [this] {
+        return Totals{now_, computeAcc_, linkBusy_, bytesIn_,
+                      bytesOut_, demandStalls_, evictions_};
+    };
+    Totals base;
 
     for (std::uint32_t it = 0; it < cfg_.iterations; ++it) {
         std::size_t pos = 0;
@@ -267,42 +277,29 @@ SwapExecutor::run()
             }
         }
         now_ += policy_.perIterOverhead(tape_);
-        iter_end.push_back(now_);
-        iter_compute.push_back(computeAcc_);
-        iter_link.push_back(linkBusy_);
-        iter_in.push_back(bytesIn_);
-        iter_out.push_back(bytesOut_);
-        iter_stall.push_back(demandStalls_);
-        iter_evict.push_back(evictions_);
+        if (it + 1 == cfg_.warmup)
+            base = totals();
     }
 
-    std::uint32_t warm = std::min(cfg_.warmup, cfg_.iterations - 1);
-    std::uint32_t iters = cfg_.iterations - warm;
-    sim::Tick t0 = warm == 0 ? 0 : iter_end[warm - 1];
-    sim::Tick window = iter_end.back() - t0;
+    const Totals end = totals();
+    std::uint32_t iters = cfg_.iterations - cfg_.warmup;
+    sim::Tick window = end.now - base.now;
+    sim::Tick cw = end.compute - base.compute;
+    std::uint64_t in_w = end.in - base.in;
+    std::uint64_t out_w = end.out - base.out;
 
     r.ok = true;
     r.ticksPerIter = window / iters;
     r.secPer100Iters = sim::ticksToSeconds(window) * 100.0 / iters;
-    sim::Tick cw =
-        iter_compute.back() - (warm == 0 ? 0 : iter_compute[warm - 1]);
-    sim::Tick lw =
-        iter_link.back() - (warm == 0 ? 0 : iter_link[warm - 1]);
-    std::uint64_t in_w =
-        iter_in.back() - (warm == 0 ? 0 : iter_in[warm - 1]);
-    std::uint64_t out_w =
-        iter_out.back() - (warm == 0 ? 0 : iter_out[warm - 1]);
     r.computeTicksPerIter = cw / iters;
     r.bytesInPerIter = in_w / iters;
     r.bytesOutPerIter = out_w / iters;
-    r.demandStallsPerIter =
-        (iter_stall.back() - (warm == 0 ? 0 : iter_stall[warm - 1])) /
-        iters;
-    r.evictionsPerIter =
-        (iter_evict.back() - (warm == 0 ? 0 : iter_evict[warm - 1])) /
-        iters;
-    r.energyJPerIter =
-        cfg_.energy.joules(window, cw, lw, in_w + out_w) / iters;
+    r.demandStallsPerIter = (end.stalls - base.stalls) / iters;
+    r.evictionsPerIter = (end.evictions - base.evictions) / iters;
+    r.energyJPerIter = cfg_.energy.joules(window, cw,
+                                          end.link - base.link,
+                                          in_w + out_w) /
+                       iters;
     return r;
 }
 

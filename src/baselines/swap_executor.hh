@@ -63,7 +63,10 @@ class SwapExecutor
     SwapExecutor(const torch::Tape &tape, SwapPolicy &policy,
                  const SwapConfig &cfg);
 
-    /** Execute the configured number of iterations. */
+    /**
+     * Execute the configured number of iterations. Fatal unless
+     * warmup < iterations.
+     */
     SwapResult run();
 
   private:

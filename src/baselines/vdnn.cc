@@ -24,12 +24,6 @@ VdnnPolicy::plan(const PlanContext &ctx)
 }
 
 bool
-VdnnPolicy::mustStayResident(torch::TensorId t) const
-{
-    return !offloadable_[t];
-}
-
-bool
 VdnnPolicy::offloadable(torch::TensorId t) const
 {
     return offloadable_[t];

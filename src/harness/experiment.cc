@@ -9,7 +9,6 @@
 #include "gpu/fault_buffer.hh"
 #include "gpu/gpu_engine.hh"
 #include "gpu/pcie_link.hh"
-#include "harness/parallel.hh"
 #include "harness/session.hh"
 #include "mem/frame_pool.hh"
 #include "mem/va_space.hh"
@@ -78,6 +77,9 @@ runExperiment(const torch::Tape &tape, SystemKind kind,
                    static_cast<unsigned long long>(cfg.gpuMemBytes),
                    cfg.timing.smBatch,
                    static_cast<unsigned long long>(mem::kBlockBytes));
+    if (cfg.warmup >= cfg.iterations)
+        sim::fatal("iterations (%u) must exceed warmup (%u)",
+                   cfg.iterations, cfg.warmup);
 
     sim::EventQueue eq;
     sim::StatSet stats;
@@ -237,8 +239,6 @@ runExperiment(const torch::Tape &tape, SystemKind kind,
     const auto &snaps = session.snapshots();
     DEEPUM_ASSERT(snaps.size() == cfg.iterations,
                   "snapshot count mismatch");
-    DEEPUM_ASSERT(cfg.warmup < cfg.iterations,
-                  "warmup must leave measured iterations");
 
     IterSnapshot base;
     if (cfg.warmup > 0)
@@ -288,74 +288,26 @@ runExperiment(const torch::Tape &tape, SystemKind kind,
 }
 
 std::uint64_t
-maxBatch(const std::string &model, SystemKind kind,
-         const ExperimentConfig &cfg, std::uint64_t lo,
-         std::uint64_t hi, ParallelRunner *pool)
+largestFitting(std::uint64_t lo, std::uint64_t hi,
+               const std::function<bool(std::uint64_t)> &fits)
 {
-    ExperimentConfig quick = cfg;
-    quick.iterations = 3;
-    quick.warmup = 1;
-
-    auto fits = [&](std::uint64_t batch) {
-        torch::Tape tape = models::buildModel(model, batch);
-        return runExperiment(tape, kind, quick).ok;
-    };
-
-    std::uint64_t good = 0, bad = 0;
-    if (pool != nullptr && pool->jobs() > 1 &&
-        !ParallelRunner::inWorker()) {
-        // Speculative doubling: the probe ladder is known up front,
-        // so rungs run concurrently in waves of jobs() and the
-        // answer is read off the first failing rung — exactly where
-        // the serial loop below would have stopped. Waves bound the
-        // speculation: at most jobs()-1 probes past the failure are
-        // wasted (an OOM probe at a huge batch can be expensive, so
-        // firing the whole ladder at once would not pay off).
-        std::vector<std::uint64_t> ladder{lo};
-        while (ladder.back() < hi)
-            ladder.push_back(std::min(hi, ladder.back() * 2));
-        std::vector<char> fit(ladder.size(), 0);
-        std::size_t first_bad = ladder.size();
-        for (std::size_t base = 0;
-             base < ladder.size() && first_bad == ladder.size();
-             base += pool->jobs()) {
-            std::size_t wave =
-                std::min<std::size_t>(pool->jobs(),
-                                      ladder.size() - base);
-            pool->forEach(wave, [&](std::size_t i) {
-                fit[base + i] = fits(ladder[base + i]) ? 1 : 0;
-            });
-            for (std::size_t i = base; i < base + wave; ++i) {
-                if (!fit[i]) {
-                    first_bad = i;
-                    break;
-                }
-            }
-        }
-        if (first_bad == 0)
-            return 0;
-        good = ladder[first_bad - 1];
-        if (first_bad == ladder.size())
-            return good; // everything up to hi fits
-        bad = ladder[first_bad];
-    } else {
-        if (!fits(lo))
-            return 0;
-        // Exponential probe up to hi.
-        good = lo;
-        std::uint64_t probe = lo;
-        while (probe < hi) {
-            probe = std::min(hi, probe * 2);
-            if (fits(probe)) {
-                good = probe;
-            } else {
-                bad = probe;
-                break;
-            }
-        }
-        if (bad == 0)
-            return good; // everything up to hi fits
+    DEEPUM_ASSERT(lo >= 1 && lo <= hi, "search range [%llu, %llu]",
+                  static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi));
+    if (!fits(lo))
+        return 0;
+    // Double up to hi; bad stays 0 while everything probed fits.
+    std::uint64_t good = lo, bad = 0;
+    while (good < hi && bad == 0) {
+        // min(hi, 2 * good), without overflowing.
+        std::uint64_t probe = good >= hi - good ? hi : good * 2;
+        if (fits(probe))
+            good = probe;
+        else
+            bad = probe;
     }
+    if (bad == 0)
+        return good;
     while (bad - good > std::max<std::uint64_t>(1, good / 64)) {
         std::uint64_t mid = good + (bad - good) / 2;
         if (fits(mid))
@@ -364,6 +316,20 @@ maxBatch(const std::string &model, SystemKind kind,
             bad = mid;
     }
     return good;
+}
+
+std::uint64_t
+maxBatch(const std::string &model, SystemKind kind,
+         const ExperimentConfig &cfg, std::uint64_t lo,
+         std::uint64_t hi)
+{
+    ExperimentConfig quick = cfg;
+    quick.iterations = 3;
+    quick.warmup = 1;
+    return largestFitting(lo, hi, [&](std::uint64_t batch) {
+        torch::Tape tape = models::buildModel(model, batch);
+        return runExperiment(tape, kind, quick).ok;
+    });
 }
 
 } // namespace deepum::harness

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -22,8 +23,6 @@
 #include "uvm/provenance.hh"
 
 namespace deepum::harness {
-
-class ParallelRunner;
 
 /** Which memory system executes the run. */
 enum class SystemKind {
@@ -134,25 +133,32 @@ struct RunResult {
  */
 std::uint64_t minGpuMemBytes(const gpu::TimingConfig &timing);
 
-/** Run @p tape once under @p kind (fatal below minGpuMemBytes). */
+/**
+ * Run @p tape once under @p kind. Fatal below minGpuMemBytes, and
+ * unless warmup < iterations.
+ */
 RunResult runExperiment(const torch::Tape &tape, SystemKind kind,
                         const ExperimentConfig &cfg);
 
 /**
- * Largest batch size that completes without OOM, searched by
- * doubling then bisection over @p build(batch) runs with a reduced
- * iteration count. @p lo must succeed (else returns 0).
- *
- * With a @p pool the doubling-phase probes run speculatively in
- * parallel: the whole probe ladder lo, 2*lo, ..., hi is launched at
- * once and the answer is read off the first failing rung — the same
- * rung the serial early-exit loop would stop at, so the result is
- * identical. The bisection refinement is inherently sequential and
- * stays serial.
+ * Largest value in [@p lo, @p hi] that @p fits, assuming every value
+ * below a fitting one fits too: doubling from @p lo, then bisection
+ * until the least failing value probed is within max(1, answer / 64)
+ * of the answer. @return 0 when @p lo does not fit. Requires
+ * 1 <= @p lo <= @p hi.
+ */
+std::uint64_t
+largestFitting(std::uint64_t lo, std::uint64_t hi,
+               const std::function<bool(std::uint64_t)> &fits);
+
+/**
+ * Largest batch size of @p model in [@p lo, @p hi] that completes
+ * under @p kind without OOM (largestFitting() over 3-iteration
+ * runs); 0 when @p lo fails.
  */
 std::uint64_t
 maxBatch(const std::string &model, SystemKind kind,
          const ExperimentConfig &cfg, std::uint64_t lo,
-         std::uint64_t hi, ParallelRunner *pool = nullptr);
+         std::uint64_t hi);
 
 } // namespace deepum::harness

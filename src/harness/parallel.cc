@@ -1,6 +1,9 @@
 #include "harness/parallel.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 
 #include "sim/logging.hh"
 
@@ -8,16 +11,10 @@ namespace deepum::harness {
 
 namespace {
 
-/** Set while the current thread is inside a pool worker. */
-thread_local bool tls_in_worker = false;
+/** Set while the current thread runs a forEach() body. */
+thread_local bool tls_in_body = false;
 
 } // namespace
-
-bool
-ParallelRunner::inWorker()
-{
-    return tls_in_worker;
-}
 
 unsigned
 hardwareJobs()
@@ -31,110 +28,41 @@ ParallelRunner::ParallelRunner(unsigned jobs)
     if (jobs_ > kMaxJobs)
         sim::panic("ParallelRunner: %u jobs requested, at most %u",
                    jobs_, kMaxJobs);
-    // The calling thread is worker #0; spawn the rest.
-    workers_.reserve(jobs_ - 1);
-    for (unsigned i = 1; i < jobs_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ParallelRunner::~ParallelRunner()
-{
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-    }
-    cvWork_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-void
-ParallelRunner::runShare()
-{
-    // The caller thread runs shares too; while it does, it counts
-    // as a worker so nested forEach() calls from inside a body take
-    // the serial-inline path instead of clobbering the active job.
-    const bool prev_in_worker = tls_in_worker;
-    tls_in_worker = true;
-    for (;;) {
-        std::size_t i = next_.fetch_add(1, std::memory_order_acq_rel);
-        if (i >= total_) {
-            tls_in_worker = prev_in_worker;
-            return;
-        }
-        try {
-            (*body_)(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            // Lock so the notify cannot slip between the waiter's
-            // predicate check and its sleep.
-            std::lock_guard<std::mutex> lk(mu_);
-            cvDone_.notify_all();
-        }
-    }
-}
-
-void
-ParallelRunner::workerLoop()
-{
-    tls_in_worker = true;
-    std::unique_lock<std::mutex> lk(mu_);
-    std::uint64_t seen = 0;
-    for (;;) {
-        cvWork_.wait(lk, [&] { return stop_ || generation_ != seen; });
-        if (stop_)
-            return;
-        seen = generation_;
-        ++activeWorkers_;
-        lk.unlock();
-        runShare();
-        lk.lock();
-        if (--activeWorkers_ == 0)
-            cvDone_.notify_all();
-    }
 }
 
 void
 ParallelRunner::forEach(std::size_t n,
                         const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (jobs_ <= 1 || n == 1 || tls_in_worker) {
-        // Serial fallback: exactly the old loop, same thread. Nested
-        // calls from a worker take this path, so a parallel row may
-        // itself use pool-aware helpers without deadlocking.
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(n);
+    auto share = [&] {
+        const bool outer = tls_in_body;
+        tls_in_body = true;
+        for (std::size_t i = next++; i < n; i = next++) {
+            try {
+                body(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+        tls_in_body = outer;
+    };
 
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        body_ = &body;
-        total_ = n;
-        pending_.store(n, std::memory_order_relaxed);
-        next_.store(0, std::memory_order_release);
-        firstError_ = nullptr;
-        ++generation_;
+        // A nested call gets no helper, so it runs inline on the
+        // body's thread. Each jthread joins when `helpers` goes out
+        // of scope, on the exception path of a failed start too.
+        std::size_t threads =
+            tls_in_body ? 1 : std::min<std::size_t>(jobs_, n);
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(share);
+        share();
     }
-    cvWork_.notify_all();
-
-    // The caller is worker #0.
-    runShare();
-
-    std::unique_lock<std::mutex> lk(mu_);
-    cvDone_.wait(lk, [&] {
-        return pending_.load(std::memory_order_acquire) == 0 &&
-               activeWorkers_ == 0;
-    });
-    body_ = nullptr;
-    if (firstError_)
-        std::rethrow_exception(firstError_);
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 } // namespace deepum::harness

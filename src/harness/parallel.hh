@@ -5,34 +5,31 @@
  * Every (model, batch, system) cell of the paper's evaluation is an
  * independent simulation: runExperiment() builds a private
  * EventQueue, StatSet and RNG per call and shares nothing, so cells
- * can run concurrently with zero coordination. ParallelRunner is the
- * thread pool the bench binaries and maxBatch() fan cells out onto;
- * results land in caller-indexed slots, so the output order (and,
+ * can run concurrently with zero coordination. ParallelRunner fans
+ * the cells of one bench or `simctl --batches` sweep out over a
+ * fork-join: each forEach() starts its threads, runs every index and
+ * joins them before it returns, so nothing runs between calls.
+ * Results land in caller-indexed slots, so the output order (and,
  * because each cell is deterministic in isolation, every value in
  * it) is identical whether the grid runs on one thread or many.
  *
- * Threading model (see DESIGN.md "Threading model"): simulations are
- * share-nothing — one EventQueue per run, never crossed between
- * threads. The pool only parallelizes *across* runs.
+ * Threading model (see DESIGN.md "Share-nothing threading"):
+ * simulations are share-nothing — one EventQueue per run, never
+ * crossed between threads. The runner only parallelizes *across*
+ * runs.
  */
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace deepum::harness {
 
 /**
- * Most workers a ParallelRunner takes. Its constructor starts every
- * worker at once, so a wrapped or mistyped count is refused rather
+ * Most threads a ParallelRunner takes. forEach() starts up to this
+ * many at once, so a wrapped or mistyped count is refused rather
  * than obeyed; the CLIs parse `--jobs` against the same bound.
  */
 inline constexpr unsigned kMaxJobs = 1024;
@@ -41,43 +38,33 @@ inline constexpr unsigned kMaxJobs = 1024;
 unsigned hardwareJobs();
 
 /**
- * A fixed-size thread pool running one index-sharded job at a time.
- *
- * The calling thread participates in the work, so ParallelRunner(1)
- * (or a pool asked for work from inside one of its own workers)
- * executes the body inline on the caller with no thread handoff at
- * all — the degenerate case is exactly the old serial loop.
- *
- * One job runs at a time: forEach() must not be entered from two
- * unrelated threads concurrently (nested calls from inside a body
- * are fine — they run inline).
+ * Runs index-sharded loops on up to jobs() threads, the calling
+ * thread included. ParallelRunner(1), a one-index loop, and a
+ * forEach() called from inside a body all run on the calling thread
+ * alone, with no thread started.
  */
 class ParallelRunner
 {
   public:
     /**
-     * @param jobs worker count; 0 means hardwareJobs(). Panics above
-     * kMaxJobs, before starting any worker.
+     * @param jobs thread count; 0 means hardwareJobs(). Panics above
+     * kMaxJobs.
      */
     explicit ParallelRunner(unsigned jobs = 0);
-    ~ParallelRunner();
 
-    ParallelRunner(const ParallelRunner &) = delete;
-    ParallelRunner &operator=(const ParallelRunner &) = delete;
-
-    /** Effective worker count (calling thread included). */
+    /** Effective thread count (calling thread included). */
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run @p body(i) for every i in [0, n), distributed over the
-     * pool; returns when all calls finished. Indices are claimed
-     * dynamically, so completion order is arbitrary — write results
-     * into slot i to keep output deterministic. The first exception
-     * thrown by any call is rethrown here after the job drains.
+     * Run @p body(i) for every i in [0, n); returns when all calls
+     * finished and every thread it started has joined. Indices are
+     * claimed dynamically, so completion order is arbitrary — write
+     * results into slot i to keep output deterministic. Once every
+     * index has run, the exception of the lowest index that threw is
+     * rethrown here.
      *
-     * Nested calls from inside a worker run inline serially (no
-     * deadlock), so a parallel bench row may itself call a
-     * pool-aware helper like maxBatch().
+     * A nested call from inside a body runs serially on that body's
+     * thread.
      */
     void forEach(std::size_t n, const std::function<void(std::size_t)> &body);
 
@@ -95,31 +82,8 @@ class ParallelRunner
         return out;
     }
 
-    /** True when called from inside one of this pool's workers. */
-    static bool inWorker();
-
   private:
-    void workerLoop();
-
-    /** Claim and run indices until the current job is exhausted. */
-    void runShare();
-
     unsigned jobs_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-
-    // Current job; next_/pending_ are claimed/retired lock-free.
-    const std::function<void(std::size_t)> *body_ = nullptr;
-    std::size_t total_ = 0;
-    std::atomic<std::size_t> next_{0};
-    std::atomic<std::size_t> pending_{0};
-    std::uint64_t generation_ = 0;
-    unsigned activeWorkers_ = 0;
-    std::exception_ptr firstError_;
-    bool stop_ = false;
 };
 
 } // namespace deepum::harness

@@ -4,9 +4,10 @@
  *
  * The allocator requests whole segments (cudaMalloc in stock
  * PyTorch, cudaMallocManaged under DeepUM) and reports PT-block
- * activity. Two implementations exist: UmSegmentSource (UM heap +
- * driver notification, DeepUM's mode) and the capacity-limited
- * device source the non-UM baselines use.
+ * activity. The simulator's one implementation is UmSegmentSource
+ * (UM heap + driver notification, DeepUM's mode); the non-UM
+ * baselines run the tensor-granularity SwapExecutor, which has no
+ * allocator.
  */
 
 #pragma once

@@ -122,6 +122,24 @@ TEST(SwapExecutor, BiggerDeviceIsFaster)
     EXPECT_GE(a.ticksPerIter, b.ticksPerIter);
 }
 
+TEST(SwapExecutorDeath, RunWithNoMeasuredIterationIsRejected)
+{
+    // Refused before simulating anything, for every policy.
+    torch::Tape tape = models::buildModel("bert-base", 4);
+    SwapConfig cfg = smallConfig();
+    cfg.iterations = 0;
+    cfg.warmup = 0;
+    LmsPolicy lms;
+    EXPECT_EXIT(runSwapBaseline(tape, lms, cfg),
+                testing::ExitedWithCode(1),
+                "iterations \\(0\\) must exceed warmup \\(0\\)");
+    cfg.iterations = 4;
+    cfg.warmup = 4;
+    EXPECT_EXIT(runBaseline(BaselineKind::LmsMod, tape, cfg),
+                testing::ExitedWithCode(1),
+                "iterations \\(4\\) must exceed warmup \\(4\\)");
+}
+
 // ----------------------------------------------------------- policies
 
 TEST(Lms, PinsPersistentTensors)
@@ -135,7 +153,7 @@ TEST(Lms, PinsPersistentTensors)
     bool some_pinned = false, some_swappable = false;
     for (torch::TensorId t = 0;
          t < static_cast<torch::TensorId>(tape.tensors.size()); ++t) {
-        bool pinned = lms.mustStayResident(t);
+        bool pinned = !lms.offloadable(t);
         bool persistent =
             tape.tensors[t].kind == torch::TensorKind::Weight ||
             tape.tensors[t].kind == torch::TensorKind::Gradient ||
@@ -190,7 +208,6 @@ TEST(Vdnn, OffloadsOnlyActivations)
         bool act =
             tape.tensors[t].kind == torch::TensorKind::Activation;
         EXPECT_EQ(v.offloadable(t), act);
-        EXPECT_EQ(v.mustStayResident(t), !act);
     }
 }
 
@@ -205,7 +222,7 @@ TEST(AutoTm, PinsHotTensorsWithinBudget)
     std::uint64_t pinned = 0;
     for (torch::TensorId t = 0;
          t < static_cast<torch::TensorId>(tape.tensors.size()); ++t)
-        if (p.mustStayResident(t))
+        if (!p.offloadable(t))
             pinned += tape.tensors[t].bytes;
     EXPECT_GT(pinned, 0u);
     EXPECT_LE(pinned, capacity / 2);
@@ -266,7 +283,7 @@ TEST(Sentinel, PinsHotDataOnly)
     for (torch::TensorId t = 0;
          t < static_cast<torch::TensorId>(tape.tensors.size()); ++t) {
         if (oracle.useCount(t) < 2) {
-            EXPECT_FALSE(p.mustStayResident(t));
+            EXPECT_TRUE(p.offloadable(t));
         }
     }
 }

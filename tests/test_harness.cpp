@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "harness/energy.hh"
@@ -66,6 +67,23 @@ TEST(HarnessDeath, GpuSmallerThanOneSmBatchIsRejected)
     cfg.gpuMemBytes = 14 * sim::kMiB;
     EXPECT_EXIT(runExperiment(tape, SystemKind::Um, cfg),
                 testing::ExitedWithCode(1), "below one SM batch");
+}
+
+TEST(HarnessDeath, RunWithNoMeasuredIterationIsRejected)
+{
+    // Refused before any setup.
+    torch::Tape tape = models::buildModel("bert-base", 30);
+    ExperimentConfig cfg = quick();
+    cfg.iterations = 0;
+    cfg.warmup = 0;
+    EXPECT_EXIT(runExperiment(tape, SystemKind::Um, cfg),
+                testing::ExitedWithCode(1),
+                "iterations \\(0\\) must exceed warmup \\(0\\)");
+    cfg.iterations = 4;
+    cfg.warmup = 4;
+    EXPECT_EXIT(runExperiment(tape, SystemKind::DeepUm, cfg),
+                testing::ExitedWithCode(1),
+                "iterations \\(4\\) must exceed warmup \\(4\\)");
 }
 
 TEST(Harness, SystemNamesArePrintable)
@@ -176,6 +194,29 @@ TEST(Report, Geomean)
 }
 
 // ----------------------------------------------------- max batch
+
+TEST(Harness, LargestFittingBracketsAThreshold)
+{
+    for (std::uint64_t limit : {1ull, 2ull, 3ull, 5ull, 63ull, 100ull,
+                                1000ull, 4097ull, 123456ull}) {
+        auto fits = [&](std::uint64_t x) { return x <= limit; };
+        // lo fails.
+        EXPECT_EQ(largestFitting(limit + 1, 1 << 20, fits), 0u);
+        // Everything up to hi fits.
+        EXPECT_EQ(largestFitting(1, limit, fits), limit);
+        EXPECT_EQ(largestFitting(limit, limit, fits), limit);
+        // Otherwise the answer fits and lies within max(1, g/64) of
+        // the threshold.
+        for (std::uint64_t lo : {1ull, 2ull, 7ull}) {
+            if (lo > limit)
+                continue;
+            std::uint64_t g = largestFitting(lo, 1 << 20, fits);
+            EXPECT_LE(g, limit) << "lo " << lo << " limit " << limit;
+            EXPECT_LT(limit - g, std::max<std::uint64_t>(1, g / 64))
+                << "lo " << lo << " limit " << limit;
+        }
+    }
+}
 
 TEST(Harness, MaxBatchReturnsZeroWhenLoFails)
 {

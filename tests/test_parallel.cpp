@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -49,8 +51,9 @@ TEST(ParallelRunner, SingleJobRunsInline)
 
 TEST(ParallelRunner, RefusesMoreThanMaxJobsUpFront)
 {
-    // The constructor starts every worker at once; above the bound it
-    // panics before starting any. 0 means one job per hardware thread.
+    // forEach() starts up to jobs() threads at once, so the
+    // constructor refuses a count above the bound. 0 means one job per
+    // hardware thread.
     EXPECT_DEATH(ParallelRunner pool(harness::kMaxJobs + 1),
                  "1025 jobs requested, at most 1024");
     ParallelRunner pool(0);
@@ -70,11 +73,12 @@ TEST(ParallelRunner, NestedCallsRunInlineWithoutDeadlock)
 {
     ParallelRunner pool(4);
     auto totals = pool.map<long>(32, [&](std::size_t i) {
-        EXPECT_TRUE(ParallelRunner::inWorker());
+        const std::thread::id outer = std::this_thread::get_id();
         long s = 0;
-        // A nested call from inside a body must not touch the
-        // active job; it runs serially on this thread.
+        // A nested call from inside a body starts no thread; it runs
+        // serially on the body's own thread.
         pool.forEach(10, [&](std::size_t j) {
+            EXPECT_EQ(std::this_thread::get_id(), outer);
             s += static_cast<long>(i * 10 + j);
         });
         return s;
@@ -85,18 +89,27 @@ TEST(ParallelRunner, NestedCallsRunInlineWithoutDeadlock)
 
 TEST(ParallelRunner, FirstExceptionPropagates)
 {
-    ParallelRunner pool(4);
-    EXPECT_THROW(pool.forEach(64,
-                              [&](std::size_t i) {
-                                  if (i == 13)
-                                      throw std::runtime_error("boom");
-                              }),
-                 std::runtime_error);
-    // The pool survives a failed job.
-    auto v = pool.map<int>(8, [](std::size_t i) {
-        return static_cast<int>(i);
-    });
-    EXPECT_EQ(v.back(), 7);
+    for (unsigned jobs : {1u, 4u}) {
+        ParallelRunner pool(jobs);
+        std::atomic<int> ran{0};
+        try {
+            pool.forEach(64, [&](std::size_t i) {
+                ++ran;
+                if (i == 13 || i == 40)
+                    throw std::runtime_error(std::to_string(i));
+            });
+            ADD_FAILURE() << "no exception at " << jobs << " jobs";
+        } catch (const std::runtime_error &e) {
+            // Every index ran, and the lowest index's error won.
+            EXPECT_EQ(ran.load(), 64) << jobs << " jobs";
+            EXPECT_STREQ(e.what(), "13") << jobs << " jobs";
+        }
+        // The runner works again after a failed call.
+        auto v = pool.map<int>(8, [](std::size_t i) {
+            return static_cast<int>(i);
+        });
+        EXPECT_EQ(v.back(), 7);
+    }
 }
 
 TEST(ParallelRunner, PoolIsReusableAcrossJobs)
@@ -172,18 +185,6 @@ TEST(ParallelDeterminism, SweepGridIdenticalOnOneAndManyThreads)
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResult(serial[i], parallel[i],
                          bench::cellLabel(grid[i]).c_str());
-}
-
-TEST(ParallelDeterminism, MaxBatchIdenticalWithAndWithoutPool)
-{
-    harness::ExperimentConfig cfg = bench::defaultConfig();
-    std::uint64_t serial = harness::maxBatch(
-        "gpt2-l", harness::SystemKind::DeepUm, cfg, 1, 16);
-    ParallelRunner pool(4);
-    std::uint64_t parallel = harness::maxBatch(
-        "gpt2-l", harness::SystemKind::DeepUm, cfg, 1, 16, &pool);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_GE(serial, 1u);
 }
 
 } // namespace
