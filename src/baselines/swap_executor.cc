@@ -102,8 +102,13 @@ SwapExecutor::prefetch(std::size_t pos)
             if (!s.exists || s.loc == Loc::Device ||
                 s.loc == Loc::None)
                 continue;
-            if (!policy_.offloadable(t))
-                continue;
+#ifdef DEEPUM_VALIDATE
+            // Only makeRoom moves a tensor off the device, and only
+            // an offloadable one; no policy's answer changes after
+            // plan().
+            DEEPUM_ASSERT(policy_.offloadable(t),
+                          "pinned tensor %d is off the device", t);
+#endif
             std::uint64_t bytes = tape_.tensors[t].bytes;
             // Only prefetch into free space; never evict for a
             // prefetch (the offline planners schedule evictions

@@ -1,6 +1,7 @@
 #include "harness/session.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -24,6 +25,16 @@ Session::Session(sim::EventQueue &eq, core::Runtime &rt,
       tensorVa_(tape.tensors.size(), 0)
 {
     tape_.validate();
+    opKernels_.resize(tape.ops.size());
+    for (std::size_t i = 0; i < tape.ops.size(); ++i) {
+        const torch::TapeOp &op = tape.ops[i];
+        gpu::KernelInfo &ki = opKernels_[i].ki;
+        ki.name = op.name;
+        ki.argHash = op.argHash;
+        ki.computeNs = op.computeNs;
+        opKernels_[i].boundVa.assign(op.uses.size(), 0);
+    }
+    snaps_.reserve(iterations);
     // Resolve the per-iteration snapshot counters once; the name
     // lookup would otherwise run at every iteration boundary.
     pageFaults_ = stats.findScalar("uvm.pageFaults");
@@ -65,27 +76,45 @@ Session::applyStep(const torch::TapeStep &step)
     return true;
 }
 
-void
-Session::buildKernel(std::int32_t op_index)
+gpu::KernelInfo &
+Session::kernelFor(std::int32_t op_index)
 {
     const torch::TapeOp &op = tape_.ops[op_index];
-    ki_.name = op.name;
-    ki_.argHash = op.argHash;
-    ki_.computeNs = op.computeNs;
-    ki_.accesses.clear();
+    OpKernel &k = opKernels_[op_index];
+    bool stale =
+        op.gatherTensor != torch::kNoTensor && op.gatherBlocks > 0;
+    for (std::size_t i = 0; i < op.uses.size() && !stale; ++i) {
+        // An unbound use (0) always rebuilds, so buildKernel's
+        // checks still see it.
+        mem::VAddr va = tensorVa_[op.uses[i].tensor];
+        stale = va == 0 || va != k.boundVa[i];
+    }
+    if (stale)
+        buildKernel(op, k);
+    return k.ki;
+}
 
-    auto add_range = [this](mem::VAddr va, std::uint64_t bytes,
-                            bool write) {
+void
+Session::buildKernel(const torch::TapeOp &op, OpKernel &k)
+{
+    std::vector<gpu::BlockAccess> &accesses = k.ki.accesses;
+    accesses.clear();
+
+    auto add_range = [&accesses](mem::VAddr va, std::uint64_t bytes,
+                                 bool write) {
         for (mem::BlockId b = mem::firstBlock(va, bytes),
                           e = mem::endBlock(va, bytes);
              b != e; ++b) {
-            ki_.accesses.push_back(gpu::BlockAccess{
+            accesses.push_back(gpu::BlockAccess{
                 b,
                 static_cast<std::uint32_t>(
                     mem::pagesInBlock(b, va, bytes)),
                 write});
         }
     };
+
+    for (std::size_t i = 0; i < op.uses.size(); ++i)
+        k.boundVa[i] = tensorVa_[op.uses[i].tensor];
 
     // Reads first.
     for (const auto &u : op.uses) {
@@ -111,14 +140,13 @@ Session::buildKernel(std::int32_t op_index)
             std::min<std::uint64_t>(op.gatherBlocks, nblocks));
 
         // Partial Fisher-Yates over the block indices.
-        std::vector<std::uint32_t> idx(nblocks);
-        for (std::uint64_t i = 0; i < nblocks; ++i)
-            idx[i] = static_cast<std::uint32_t>(i);
+        gatherIdx_.resize(nblocks);
+        std::iota(gatherIdx_.begin(), gatherIdx_.end(), 0u);
         for (std::uint32_t i = 0; i < want; ++i) {
             std::uint64_t j = i + rng_.below(nblocks - i);
-            std::swap(idx[i], idx[j]);
-            mem::BlockId b = first + idx[i];
-            ki_.accesses.push_back(gpu::BlockAccess{
+            std::swap(gatherIdx_[i], gatherIdx_[j]);
+            mem::BlockId b = first + gatherIdx_[i];
+            accesses.push_back(gpu::BlockAccess{
                 b,
                 static_cast<std::uint32_t>(mem::pagesInBlock(
                     b, va, bytes)),
@@ -204,10 +232,10 @@ Session::processSteps()
 
         const torch::TapeStep &step = steps[stepIdx_++];
         if (step.kind == torch::StepKind::Launch) {
-            buildKernel(step.opIndex);
+            gpu::KernelInfo &ki = kernelFor(step.opIndex);
             if (manualPrefetch_)
                 prefetchNextOp(stepIdx_);
-            rt_.launchKernel(&ki_, [this] { processSteps(); });
+            rt_.launchKernel(&ki, [this] { processSteps(); });
             return;
         }
         if (!applyStep(step))

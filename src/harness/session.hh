@@ -72,8 +72,24 @@ class Session
     /** Execute one non-launch step. @return false on OOM. */
     bool applyStep(const torch::TapeStep &step);
 
-    /** Fill ki_ from op @p op_index with current tensor bindings. */
-    void buildKernel(std::int32_t op_index);
+    /**
+     * One tape op's kernel descriptor, kept across launches. Its
+     * accesses depend only on the VAs its uses are bound to, so they
+     * stay valid while every use is bound where it was at the build.
+     */
+    struct OpKernel {
+        gpu::KernelInfo ki;
+        std::vector<mem::VAddr> boundVa; ///< VA of each use at the build
+    };
+
+    /**
+     * The descriptor of op @p op_index for this launch: rebuilt when
+     * a use moved or the op gathers (gathers redraw every launch).
+     */
+    gpu::KernelInfo &kernelFor(std::int32_t op_index);
+
+    /** Refill @p k from @p op with the current tensor bindings. */
+    void buildKernel(const torch::TapeOp &op, OpKernel &k);
 
     /**
      * OC-DNN mode: issue cudaMemPrefetchAsync for the tensors of the
@@ -104,7 +120,8 @@ class Session
     bool oom_ = false;
     bool finished_ = false;
 
-    gpu::KernelInfo ki_; ///< in-flight kernel descriptor
+    std::vector<OpKernel> opKernels_;      ///< one per tape op
+    std::vector<std::uint32_t> gatherIdx_; ///< Fisher-Yates scratch
     std::vector<IterSnapshot> snaps_;
 };
 

@@ -1,5 +1,7 @@
 #include "torch/allocator.hh"
 
+#include <algorithm>
+
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -28,23 +30,6 @@ CachingAllocator::CachingAllocator(SegmentSource &src,
 {
 }
 
-CachingAllocator::~CachingAllocator()
-{
-    // Tear down bookkeeping only; the source may already be gone at
-    // simulation teardown, so segments are not handed back here.
-    auto destroy_pool = [](Pool &pool) {
-        for (PtBlock *b : pool)
-            delete b;
-        pool.clear();
-    };
-    destroy_pool(small_);
-    destroy_pool(large_);
-    // det-ok(unordered-iter): teardown deletes, order-independent
-    for (auto &[va, b] : activeMap_)
-        delete b;
-    activeMap_.clear();
-}
-
 std::uint64_t
 CachingAllocator::roundSize(std::uint64_t size)
 {
@@ -69,22 +54,63 @@ CachingAllocator::poolFor(PoolKind kind)
     return kind == PoolKind::Small ? small_ : large_;
 }
 
-CachingAllocator::PtBlock *
+CachingAllocator::Slot
+CachingAllocator::newBlock()
+{
+    if (freeSlots_.empty()) {
+        blocks_.emplace_back();
+        return static_cast<Slot>(blocks_.size() - 1);
+    }
+    Slot s = freeSlots_.back();
+    freeSlots_.pop_back();
+    blocks_[s] = PtBlock{};
+    return s;
+}
+
+void
+CachingAllocator::poolInsert(Slot s)
+{
+    const PtBlock &b = blocks_[s];
+    Pool &pool = poolFor(b.pool);
+    PoolEntry e{b.size, b.addr, s};
+    pool.insert(std::lower_bound(pool.begin(), pool.end(), e), e);
+}
+
+void
+CachingAllocator::poolErase(Slot s)
+{
+    const PtBlock &b = blocks_[s];
+    Pool &pool = poolFor(b.pool);
+    auto it = std::lower_bound(pool.begin(), pool.end(),
+                               PoolEntry{b.size, b.addr, s});
+    DEEPUM_ASSERT(it != pool.end() && it->slot == s,
+                  "inactive block 0x%llx missing from its pool",
+                  static_cast<unsigned long long>(b.addr));
+    pool.erase(it);
+}
+
+std::vector<CachingAllocator::ActiveEntry>::const_iterator
+CachingAllocator::activeLowerBound(mem::VAddr va) const
+{
+    return std::lower_bound(
+        active_.begin(), active_.end(), va,
+        [](const ActiveEntry &e, mem::VAddr v) { return e.addr < v; });
+}
+
+CachingAllocator::Slot
 CachingAllocator::findFree(PoolKind kind, std::uint64_t rounded)
 {
     Pool &pool = poolFor(kind);
-    PtBlock key;
-    key.size = rounded;
-    key.addr = 0;
-    auto it = pool.lower_bound(&key);
+    auto it = std::lower_bound(pool.begin(), pool.end(),
+                               PoolEntry{rounded, 0, kNoSlot});
     if (it == pool.end())
-        return nullptr;
-    PtBlock *b = *it;
+        return kNoSlot;
+    Slot s = it->slot;
     pool.erase(it);
-    return b;
+    return s;
 }
 
-CachingAllocator::PtBlock *
+CachingAllocator::Slot
 CachingAllocator::allocSegmentBlock(PoolKind kind, std::uint64_t rounded)
 {
     std::uint64_t seg_size = segmentSizeFor(rounded);
@@ -96,47 +122,50 @@ CachingAllocator::allocSegmentBlock(PoolKind kind, std::uint64_t rounded)
         va = src_.allocSegment(seg_size);
     }
     if (va == 0)
-        return nullptr;
+        return kNoSlot;
 
-    segments_.emplace(va, seg_size);
+    ++segments_;
     ++segmentsAllocated_;
     reservedBytes_ += seg_size;
     peakReservedBytes_.max(reservedBytes_);
 
-    auto *b = new PtBlock;
-    b->addr = va;
-    b->size = seg_size;
-    b->pool = kind;
-    b->segBase = va;
+    Slot s = newBlock();
+    PtBlock &b = blocks_[s];
+    b.addr = va;
+    b.size = seg_size;
+    b.pool = kind;
+    b.segBase = va;
     // The fresh segment is pool cache until handed out.
     src_.noteInactive(va, seg_size, true);
     cachedBytes_ += seg_size;
-    return b;
+    return s;
 }
 
 void
-CachingAllocator::maybeSplit(PtBlock *b, std::uint64_t rounded)
+CachingAllocator::maybeSplit(Slot s, std::uint64_t rounded)
 {
-    std::uint64_t remainder = b->size - rounded;
-    bool should_split = b->pool == PoolKind::Small
+    std::uint64_t remainder = blocks_[s].size - rounded;
+    bool should_split = blocks_[s].pool == PoolKind::Small
                             ? remainder >= kMinBlockSize
                             : remainder > kSmallSize;
     if (!should_split)
         return;
 
-    auto *rest = new PtBlock;
-    rest->addr = b->addr + rounded;
-    rest->size = remainder;
-    rest->pool = b->pool;
-    rest->segBase = b->segBase;
-    rest->prev = b;
-    rest->next = b->next;
-    if (b->next != nullptr)
-        b->next->prev = rest;
-    b->next = rest;
-    b->size = rounded;
+    Slot r = newBlock(); // may move blocks_: take references after
+    PtBlock &b = blocks_[s];
+    PtBlock &rest = blocks_[r];
+    rest.addr = b.addr + rounded;
+    rest.size = remainder;
+    rest.pool = b.pool;
+    rest.segBase = b.segBase;
+    rest.prev = s;
+    rest.next = b.next;
+    if (b.next != kNoSlot)
+        blocks_[b.next].prev = r;
+    b.next = r;
+    b.size = rounded;
 
-    poolFor(rest->pool).insert(rest);
+    poolInsert(r);
     ++splits_;
 }
 
@@ -147,51 +176,54 @@ CachingAllocator::malloc(std::uint64_t size)
     PoolKind kind =
         rounded <= kSmallSize ? PoolKind::Small : PoolKind::Large;
 
-    PtBlock *b = findFree(kind, rounded);
-    if (b == nullptr)
-        b = allocSegmentBlock(kind, rounded);
-    if (b == nullptr) {
+    Slot s = findFree(kind, rounded);
+    if (s == kNoSlot)
+        s = allocSegmentBlock(kind, rounded);
+    if (s == kNoSlot) {
         ++oomEvents_;
         return 0;
     }
 
-    maybeSplit(b, rounded);
+    maybeSplit(s, rounded);
 
-    b->active = true;
-    activeMap_.emplace(b->addr, b);
-    src_.noteInactive(b->addr, b->size, false);
-    cachedBytes_ -= b->size;
-    activeBytes_ += b->size;
+    PtBlock &b = blocks_[s];
+    b.active = true;
+    active_.insert(activeLowerBound(b.addr), ActiveEntry{b.addr, s});
+    src_.noteInactive(b.addr, b.size, false);
+    cachedBytes_ -= b.size;
+    activeBytes_ += b.size;
     peakActiveBytes_.max(activeBytes_);
     ++allocs_;
     if (tracer_ != nullptr) {
         sim::Tick now = traceClock_->now();
         tracer_->instant(sim::Track::Allocator, "malloc", now,
-                         {sim::Tracer::arg("bytes", b->size),
+                         {sim::Tracer::arg("bytes", b.size),
                           sim::Tracer::arg("pool",
-                                           b->pool == PoolKind::Small
+                                           b.pool == PoolKind::Small
                                                ? "small"
                                                : "large")});
         tracer_->counter(sim::Track::Allocator, "activeBytes", now,
                          activeBytes_);
     }
-    return b->addr;
+    return b.addr;
 }
 
-CachingAllocator::PtBlock *
-CachingAllocator::tryMerge(PtBlock *b, PtBlock *neighbour)
+CachingAllocator::Slot
+CachingAllocator::tryMerge(Slot s, Slot neighbour)
 {
-    if (neighbour == nullptr || neighbour->active)
-        return b;
+    if (neighbour == kNoSlot || blocks_[neighbour].active)
+        return s;
+    poolErase(neighbour);
     // Keep the lower-addressed block as the survivor.
-    PtBlock *lo = b->addr < neighbour->addr ? b : neighbour;
-    PtBlock *hi = lo == b ? neighbour : b;
-    poolFor(neighbour->pool).erase(neighbour);
-    lo->size += hi->size;
-    lo->next = hi->next;
-    if (hi->next != nullptr)
-        hi->next->prev = lo;
-    delete hi;
+    Slot lo = blocks_[s].addr < blocks_[neighbour].addr ? s : neighbour;
+    Slot hi = lo == s ? neighbour : s;
+    PtBlock &l = blocks_[lo];
+    const PtBlock &h = blocks_[hi];
+    l.size += h.size;
+    l.next = h.next;
+    if (h.next != kNoSlot)
+        blocks_[h.next].prev = lo;
+    freeSlots_.push_back(hi);
     ++merges_;
     return lo;
 }
@@ -199,66 +231,66 @@ CachingAllocator::tryMerge(PtBlock *b, PtBlock *neighbour)
 void
 CachingAllocator::free(mem::VAddr va)
 {
-    auto it = activeMap_.find(va);
-    if (it == activeMap_.end())
+    auto it = activeLowerBound(va);
+    if (it == active_.end() || it->addr != va)
         sim::panic("CachingAllocator::free of unknown va 0x%llx",
                    static_cast<unsigned long long>(va));
-    PtBlock *b = it->second;
-    activeMap_.erase(it);
+    Slot s = it->slot;
+    active_.erase(it);
 
-    b->active = false;
-    src_.noteInactive(b->addr, b->size, true);
-    activeBytes_ -= b->size;
-    cachedBytes_ += b->size;
+    PtBlock &b = blocks_[s];
+    b.active = false;
+    src_.noteInactive(b.addr, b.size, true);
+    activeBytes_ -= b.size;
+    cachedBytes_ += b.size;
     ++frees_;
     if (tracer_ != nullptr) {
         sim::Tick now = traceClock_->now();
         tracer_->instant(sim::Track::Allocator, "free", now,
-                         {sim::Tracer::arg("bytes", b->size)});
+                         {sim::Tracer::arg("bytes", b.size)});
         tracer_->counter(sim::Track::Allocator, "activeBytes", now,
                          activeBytes_);
     }
 
-    b = tryMerge(b, b->prev);
-    b = tryMerge(b, b->next);
-    poolFor(b->pool).insert(b);
+    s = tryMerge(s, blocks_[s].prev);
+    s = tryMerge(s, blocks_[s].next);
+    poolInsert(s);
 }
 
 std::uint64_t
 CachingAllocator::sizeOf(mem::VAddr va) const
 {
-    auto it = activeMap_.find(va);
-    return it == activeMap_.end() ? 0 : it->second->size;
+    auto it = activeLowerBound(va);
+    return it == active_.end() || it->addr != va
+               ? 0
+               : blocks_[it->slot].size;
 }
 
 void
 CachingAllocator::emptyCache()
 {
+    // Release whole-segment blocks in pool order, (size, addr), and
+    // keep the rest in place.
     auto sweep = [this](Pool &pool) {
-        for (auto it = pool.begin(); it != pool.end();) {
-            PtBlock *b = *it;
-            bool whole_segment = b->prev == nullptr &&
-                                 b->next == nullptr &&
-                                 b->addr == b->segBase;
-            if (!whole_segment) {
-                ++it;
+        std::size_t kept = 0;
+        for (const PoolEntry &e : pool) {
+            const PtBlock &b = blocks_[e.slot];
+            if (b.prev != kNoSlot || b.next != kNoSlot) {
+                pool[kept++] = e;
                 continue;
             }
-            it = pool.erase(it);
-            auto seg = segments_.find(b->segBase);
-            DEEPUM_ASSERT(seg != segments_.end(),
-                          "pool block without a segment");
-            DEEPUM_ASSERT(seg->second == b->size,
-                          "whole-segment block size mismatch");
-            cachedBytes_ -= b->size;
-            reservedBytes_ -= b->size;
-            segments_.erase(seg);
+            DEEPUM_ASSERT(b.addr == b.segBase,
+                          "whole-segment block off its segment base");
+            --segments_;
+            cachedBytes_ -= b.size;
+            reservedBytes_ -= b.size;
             // Balance the inactive ledger before the range vanishes.
-            src_.noteInactive(b->addr, b->size, false);
-            src_.freeSegment(b->addr);
+            src_.noteInactive(b.addr, b.size, false);
+            src_.freeSegment(b.addr);
             ++segmentsReleased_;
-            delete b;
+            freeSlots_.push_back(e.slot);
         }
+        pool.resize(kept);
     };
     sweep(small_);
     sweep(large_);

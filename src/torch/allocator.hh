@@ -14,14 +14,18 @@
  *
  * Every active/inactive transition is reported through the
  * SegmentSource — the hook DeepUM's invalidation optimization needs.
+ *
+ * The bookkeeping is flat so that a tape's steady-state replay
+ * allocates nothing: PT-block records live in a slab (a vector plus
+ * a free-slot list, neighbours linked by slot index), each pool is a
+ * vector sorted by (size, addr), and the active blocks a vector
+ * sorted by VA.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/addr.hh"
 #include "sim/stats.hh"
@@ -49,8 +53,11 @@ constexpr std::uint64_t kRoundLarge = 2 * sim::kMiB;
 class CachingAllocator
 {
   public:
+    /**
+     * Destruction tears down bookkeeping only: the source may already
+     * be gone at simulation teardown, so segments are not handed back.
+     */
     CachingAllocator(SegmentSource &src, sim::StatSet &stats);
-    ~CachingAllocator();
 
     CachingAllocator(const CachingAllocator &) = delete;
     CachingAllocator &operator=(const CachingAllocator &) = delete;
@@ -92,57 +99,85 @@ class CachingAllocator
     std::uint64_t activeBytes() const { return activeBytes_; }
     std::uint64_t cachedBytes() const { return cachedBytes_; }
     std::uint64_t reservedBytes() const { return reservedBytes_; }
-    std::size_t activeBlockCount() const { return activeMap_.size(); }
-    std::size_t segmentCount() const { return segments_.size(); }
+    std::size_t activeBlockCount() const { return active_.size(); }
+    std::size_t segmentCount() const { return segments_; }
 
     /** Free pool blocks in a pool (tests). */
     std::size_t poolBlockCount(PoolKind pool) const;
 
   private:
+    /** Index of a PtBlock record in blocks_. */
+    using Slot = std::uint32_t;
+    static constexpr Slot kNoSlot = ~Slot(0);
+
     struct PtBlock {
         mem::VAddr addr = 0;
         std::uint64_t size = 0;
+        mem::VAddr segBase = 0;
+        Slot prev = kNoSlot; ///< neighbour within the segment
+        Slot next = kNoSlot;
         bool active = false;
         PoolKind pool = PoolKind::Large;
-        PtBlock *prev = nullptr; ///< neighbour within the segment
-        PtBlock *next = nullptr;
-        mem::VAddr segBase = 0;
     };
 
-    struct SizeAddrLess {
+    /** A free block, ordered by (size, addr) within its pool. */
+    struct PoolEntry {
+        std::uint64_t size;
+        mem::VAddr addr;
+        Slot slot;
+
         bool
-        operator()(const PtBlock *a, const PtBlock *b) const
+        operator<(const PoolEntry &o) const
         {
-            if (a->size != b->size)
-                return a->size < b->size;
-            return a->addr < b->addr;
+            return size != o.size ? size < o.size : addr < o.addr;
         }
     };
 
-    using Pool = std::set<PtBlock *, SizeAddrLess>;
+    /** An active block, ordered by addr. */
+    struct ActiveEntry {
+        mem::VAddr addr;
+        Slot slot;
+    };
+
+    using Pool = std::vector<PoolEntry>;
 
     Pool &poolFor(PoolKind kind);
 
-    /** Smallest free block >= @p rounded, or nullptr. */
-    PtBlock *findFree(PoolKind kind, std::uint64_t rounded);
+    /** A fresh record, from the free-slot list when it has one. */
+    Slot newBlock();
+
+    /** Pool block @p s (tail of a split, or a coalesced survivor). */
+    void poolInsert(Slot s);
+
+    /** Take block @p s out of its pool. */
+    void poolErase(Slot s);
+
+    /** First active_ entry whose addr is not below @p va. */
+    std::vector<ActiveEntry>::const_iterator
+    activeLowerBound(mem::VAddr va) const;
+
+    /** Smallest free block >= @p rounded, or kNoSlot. */
+    Slot findFree(PoolKind kind, std::uint64_t rounded);
 
     /** Grab a fresh segment from the source (with retry-after-empty). */
-    PtBlock *allocSegmentBlock(PoolKind kind, std::uint64_t rounded);
+    Slot allocSegmentBlock(PoolKind kind, std::uint64_t rounded);
 
-    /** Split @p b so it is exactly @p rounded, pooling the tail. */
-    void maybeSplit(PtBlock *b, std::uint64_t rounded);
+    /** Split @p s so it is exactly @p rounded, pooling the tail. */
+    void maybeSplit(Slot s, std::uint64_t rounded);
 
-    /** Merge @p b with an inactive neighbour; returns the survivor. */
-    PtBlock *tryMerge(PtBlock *b, PtBlock *neighbour);
+    /** Merge @p s with an inactive neighbour; returns the survivor. */
+    Slot tryMerge(Slot s, Slot neighbour);
 
     SegmentSource &src_;
     const sim::EventQueue *traceClock_ = nullptr;
     sim::Tracer *tracer_ = nullptr;
 
+    std::vector<PtBlock> blocks_;
+    std::vector<Slot> freeSlots_; ///< released blocks_ entries
     Pool small_;
     Pool large_;
-    std::unordered_map<mem::VAddr, PtBlock *> activeMap_;
-    std::map<mem::VAddr, std::uint64_t> segments_; ///< base -> size
+    std::vector<ActiveEntry> active_; ///< sorted by addr
+    std::size_t segments_ = 0; ///< segments held from the source
 
     std::uint64_t activeBytes_ = 0;
     std::uint64_t cachedBytes_ = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the harness layer: session snapshots, the OC-DNN manual
+ * Tests for the harness layer: session snapshots, the per-op kernel
+ * descriptors a session keeps across launches, the OC-DNN manual
  * prefetch mode, the mechanism-ablation flags, the energy model, and
  * the text reporters.
  */
@@ -8,12 +9,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/runtime.hh"
+#include "gpu/fault_buffer.hh"
+#include "gpu/gpu_engine.hh"
+#include "gpu/pcie_link.hh"
 #include "harness/energy.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "harness/session.hh"
+#include "mem/frame_pool.hh"
+#include "mem/va_space.hh"
 #include "models/registry.hh"
+#include "torch/allocator.hh"
+#include "torch/um_source.hh"
+#include "uvm/driver.hh"
+#include "uvm/listener.hh"
 
 using namespace deepum;
 using namespace deepum::harness;
@@ -54,6 +70,171 @@ TEST(Harness, OcDnnBeatsUmButTrailsDeepUm)
     EXPECT_LT(dum.secPer100Iters, oc.secPer100Iters);
     EXPECT_EQ(um.stats.at("uvm.prefetchIssued"), 0u);
     EXPECT_GT(oc.stats.at("uvm.prefetchIssued"), 0u);
+}
+
+/** The blocks each launch touched, in launch order. */
+struct LaunchLog : uvm::DriverListener {
+    std::vector<std::pair<std::string, std::set<mem::BlockId>>> launches;
+    std::set<mem::BlockId> current;
+
+    void
+    onBlockAccessed(mem::BlockId block) override
+    {
+        current.insert(block);
+    }
+
+    void
+    onKernelEnd(const gpu::KernelInfo &k) override
+    {
+        launches.emplace_back(k.name, std::move(current));
+        current.clear();
+    }
+
+    /** The block sets of every launch of @p name. */
+    std::vector<std::set<mem::BlockId>>
+    of(const std::string &name) const
+    {
+        std::vector<std::set<mem::BlockId>> out;
+        for (const auto &[n, blocks] : launches)
+            if (n == name)
+                out.push_back(blocks);
+        return out;
+    }
+};
+
+/** A naive-UM stack wired like runExperiment, with a launch log. */
+struct SessionStack {
+    ExperimentConfig cfg;
+    sim::EventQueue eq;
+    sim::StatSet stats;
+    gpu::FaultBuffer fb;
+    gpu::PcieLink link{cfg.timing};
+    mem::FramePool frames{cfg.gpuMemBytes / mem::kPageSize};
+    mem::VaSpace va{cfg.hostMemBytes};
+    gpu::GpuEngine engine{eq, cfg.timing, fb, stats};
+    uvm::Driver driver{eq, cfg.timing, fb, link, frames, stats};
+    core::Runtime runtime{va, driver, engine};
+    torch::UmSegmentSource source{runtime};
+    torch::CachingAllocator alloc{source, stats};
+    LaunchLog log;
+
+    SessionStack()
+    {
+        engine.setBackend(&driver);
+        driver.setEngine(&engine);
+        driver.addListener(&log);
+    }
+
+    bool
+    run(const torch::Tape &tape, std::uint32_t iterations)
+    {
+        Session session(eq, runtime, alloc, stats, link, tape,
+                        iterations, /*seed=*/7);
+        return session.run();
+    }
+};
+
+torch::TapeStep
+alloc(torch::TensorId t)
+{
+    return {torch::StepKind::Alloc, t, -1};
+}
+
+torch::TapeStep
+release(torch::TensorId t)
+{
+    return {torch::StepKind::Free, t, -1};
+}
+
+torch::TapeStep
+launch(std::int32_t op)
+{
+    return {torch::StepKind::Launch, torch::kNoTensor, op};
+}
+
+/**
+ * Op 0 ("K") writes tensor x; op 1 ("G") gathers 4 of a 32 MiB
+ * table's 16 blocks. Each iteration launches K with x at one VA,
+ * then parks a same-sized tensor there and launches K again with x
+ * at the next VA, then launches G three times.
+ */
+torch::Tape
+rebindingTape()
+{
+    constexpr torch::TensorId kX = 0, kPin = 1, kTable = 2;
+    torch::Tape t;
+    t.modelName = "rebinding";
+    t.batchSize = 1;
+    t.tensors = {{"x", 4 * sim::kMiB, torch::TensorKind::Activation},
+                 {"pin", 4 * sim::kMiB, torch::TensorKind::Activation},
+                 {"table", 32 * sim::kMiB, torch::TensorKind::Weight}};
+    torch::TapeOp k;
+    k.name = "K";
+    k.computeNs = 10 * sim::kUsec;
+    k.uses = {{kX, true}};
+    torch::TapeOp g;
+    g.name = "G";
+    g.computeNs = 10 * sim::kUsec;
+    g.gatherTensor = kTable;
+    g.gatherBlocks = 4;
+    t.ops = {k, g};
+    t.prologue = {alloc(kTable)};
+    t.iteration = {alloc(kX),   launch(0),     release(kX),
+                   alloc(kPin), alloc(kX),     launch(0),
+                   launch(1),   launch(1),     launch(1),
+                   release(kX), release(kPin)};
+    return t;
+}
+
+TEST(Session, RebuildsAKernelWhoseTensorMoved)
+{
+    SessionStack s;
+    ASSERT_TRUE(s.run(rebindingTape(), 3));
+    auto k = s.log.of("K");
+    ASSERT_EQ(k.size(), 6u); // two launches per iteration
+    // x spans two 2 MiB blocks at each VA, and the second VA shares
+    // no block with the first: K's second launch sees only the new
+    // blocks.
+    for (std::size_t i = 0; i < k.size(); i += 2) {
+        EXPECT_EQ(k[i].size(), 2u);
+        EXPECT_EQ(k[i + 1].size(), 2u);
+        for (mem::BlockId b : k[i + 1])
+            EXPECT_EQ(k[i].count(b), 0u) << "launch " << i + 1;
+    }
+    // Every iteration binds x to the same two VAs again, so moving
+    // back rebuilds too.
+    for (std::size_t i = 2; i < k.size(); ++i)
+        EXPECT_EQ(k[i], k[i - 2]) << "launch " << i;
+}
+
+TEST(Session, GatherDrawsFreshBlocksAtEveryLaunch)
+{
+    SessionStack s;
+    ASSERT_TRUE(s.run(rebindingTape(), 3));
+    auto g = s.log.of("G");
+    ASSERT_EQ(g.size(), 9u);
+    std::set<mem::BlockId> table;
+    for (const auto &blocks : g) {
+        EXPECT_EQ(blocks.size(), 4u);
+        table.insert(blocks.begin(), blocks.end());
+    }
+    EXPECT_LE(table.size(), 16u); // all from the one table
+    for (std::size_t i = 1; i < g.size(); ++i)
+        EXPECT_NE(g[i], g[i - 1]) << "launch " << i;
+}
+
+TEST(SessionDeath, UnboundUseStillPanicsWithADescriptorKept)
+{
+    // First launch with x unbound, and a launch after x was freed
+    // (K's kept descriptor still names x's old blocks).
+    torch::Tape first = rebindingTape();
+    first.iteration = {launch(0)};
+    EXPECT_DEATH(SessionStack().run(first, 1),
+                 "kernel K writes unallocated tensor x");
+    torch::Tape after_free = rebindingTape();
+    after_free.iteration = {alloc(0), launch(0), release(0), launch(0)};
+    EXPECT_DEATH(SessionStack().run(after_free, 1),
+                 "kernel K writes unallocated tensor x");
 }
 
 TEST(HarnessDeath, GpuSmallerThanOneSmBatchIsRejected)
