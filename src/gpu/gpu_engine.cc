@@ -53,43 +53,48 @@ GpuEngine::launch(const KernelInfo *kernel, sim::EventFn on_done)
     }
 
     backend_->onKernelBegin(*kernel_);
+    sim::Tick delay = cfg_.kernelLaunchOverhead;
     if (kernel_->accesses.empty()) {
         // No memory trace: burn the compute time and retire.
         computeTicks_ += kernel_->computeNs;
-        scheduleIn(cfg_.kernelLaunchOverhead + kernel_->computeNs,
-                   [this] { advance(); });
-    } else {
-        scheduleIn(cfg_.kernelLaunchOverhead, [this] { advance(); });
+        delay += kernel_->computeNs;
     }
+    if (retiring_) {
+        // Launched from the retiring kernel's on_done: advance()
+        // starts this kernel, in place when it can.
+        startDelay_ = delay;
+        launchSeq_ = eventq().nearScheduled();
+        return;
+    }
+    scheduleIn(delay, [this] { advance(); });
 }
 
 void
 GpuEngine::advance()
 {
+    // One pass issues an SM batch or retires the kernel into the next
+    // launch. The pass after it runs in place, without an event, when
+    // nothing else is due by then.
+    for (;;) {
+        sim::Tick delay;
+        if (nextAccess_ < kernel_->accesses.size()) {
+            if (!issueBatch(delay))
+                return; // stalled: replay() resumes us
+        } else if (!retire(delay)) {
+            return; // on_done launched nothing
+        }
+        if (!runAheadIn(delay)) {
+            scheduleIn(delay, [this] { advance(); });
+            return;
+        }
+    }
+}
+
+bool
+GpuEngine::issueBatch(sim::Tick &dt)
+{
     const auto &acc = kernel_->accesses;
     const std::size_t n = acc.size();
-
-    if (nextAccess_ >= n) {
-        // Kernel retires. Kernels with no memory trace still burn
-        // their compute time before reaching this point (handled at
-        // issue below), except the degenerate zero-access case.
-        const KernelInfo *k = kernel_;
-        sim::EventFn done = onDone_;
-        kernel_ = nullptr;
-        if (auto *tr = eventq().tracer())
-            tr->duration(
-                sim::Track::Gpu,
-                k->name + "#" + std::to_string(k->execId),
-                kernelStart_, curTick(),
-                {sim::Tracer::arg("op", k->name),
-                 sim::Tracer::arg("execId", std::uint64_t(k->execId)),
-                 sim::Tracer::arg("accesses",
-                                  std::uint64_t(k->accesses.size()))});
-        backend_->onKernelEnd(*k);
-        done();
-        return;
-    }
-
     std::size_t end = std::min(n, nextAccess_ + cfg_.smBatch);
     std::size_t faults = backend_->accessBatch(
         std::span(acc).subspan(nextAccess_, end - nextAccess_),
@@ -106,13 +111,13 @@ GpuEngine::advance()
                              "progress",
                              std::uint64_t(nextAccess_))});
         backend_->faultInterrupt();
-        return; // replay() resumes us
+        return false;
     }
 
     // The batch ran: charge compute proportional to trace progress so
     // the total over the kernel is exactly computeNs.
     ++batchesIssued_;
-    sim::Tick dt = computeLeft_;
+    dt = computeLeft_;
     if (end != n) {
         dt = batchQuot_;
         if (carry_ >= n - batchRem_) {
@@ -124,9 +129,42 @@ GpuEngine::advance()
     }
     computeLeft_ -= dt;
     computeTicks_ += dt;
-
     nextAccess_ = end;
-    scheduleIn(dt, [this] { advance(); });
+    return true;
+}
+
+bool
+GpuEngine::retire(sim::Tick &delay)
+{
+    // Kernels with no memory trace burnt their compute time before
+    // reaching this point (launch() added it to the start delay).
+    const KernelInfo *k = kernel_;
+    sim::EventFn done = onDone_;
+    kernel_ = nullptr;
+    if (auto *tr = eventq().tracer())
+        tr->duration(
+            sim::Track::Gpu,
+            k->name + "#" + std::to_string(k->execId),
+            kernelStart_, curTick(),
+            {sim::Tracer::arg("op", k->name),
+             sim::Tracer::arg("execId", std::uint64_t(k->execId)),
+             sim::Tracer::arg("accesses",
+                              std::uint64_t(k->accesses.size()))});
+    backend_->onKernelEnd(*k);
+
+    retiring_ = true;
+    done();
+    retiring_ = false;
+    if (kernel_ == nullptr)
+        return false;
+    // The launch must be done()'s last act: an event scheduled after
+    // it would fire before the new kernel's first batch here, but
+    // after it on the heap.
+    DEEPUM_ASSERT(eventq().nearScheduled() == launchSeq_,
+                  "on_done scheduled an event after launching the next "
+                  "kernel");
+    delay = startDelay_;
+    return true;
 }
 
 void

@@ -11,6 +11,12 @@
  * time proportionally: the batch [b, e) of an n-access kernel charges
  * floor(computeNs*e/n) - floor(computeNs*b/n), kept as a running
  * quotient and remainder so a batch costs no division.
+ *
+ * The engine is an actor with at most one pending event, and none
+ * while it runs its next step in place: after a resident batch, or a
+ * retirement whose on_done launched the next kernel, the next batch
+ * runs without an event when nothing else is due by then
+ * (sim::EventQueue::runAheadTo).
  */
 
 #pragma once
@@ -43,7 +49,10 @@ class GpuEngine : public sim::SimObject
     /**
      * Launch @p kernel; @p on_done fires when it retires.
      * The kernel object must stay alive until completion. Only one
-     * kernel may be in flight (single stream).
+     * kernel may be in flight (single stream). @p on_done may launch
+     * the next kernel, as its last act: that kernel then starts from
+     * the retiring kernel's loop, in place when nothing else is due
+     * first.
      */
     void launch(const KernelInfo *kernel, sim::EventFn on_done);
 
@@ -66,8 +75,23 @@ class GpuEngine : public sim::SimObject
     sim::Tick stallTicks() const { return stallTicks_.value(); }
 
   private:
-    /** Issue the next SM batch or finish the kernel. */
+    /**
+     * Issue SM batches and retire kernels until the engine stalls,
+     * goes idle, or must wait for another event.
+     */
     void advance();
+
+    /**
+     * Issue the next SM batch. @return false when it faulted (the
+     * engine stalls); otherwise @p dt is the batch's compute time.
+     */
+    bool issueBatch(sim::Tick &dt);
+
+    /**
+     * Retire the kernel and run its on_done. @return true when that
+     * launched the next kernel, which starts @p delay from now.
+     */
+    bool retire(sim::Tick &delay);
 
     const TimingConfig &cfg_;
     FaultBuffer &fb_;
@@ -88,6 +112,12 @@ class GpuEngine : public sim::SimObject
     bool stalled_ = false;
     sim::Tick stallStart_ = 0;
     sim::Tick kernelStart_ = 0;
+
+    // A launch made inside retire()'s on_done leaves its start to
+    // advance(): the delay, and the event count at the launch.
+    bool retiring_ = false;
+    sim::Tick startDelay_ = 0;
+    std::uint64_t launchSeq_ = 0;
 
     sim::Scalar kernelsLaunched_;
     sim::Scalar batchesIssued_;

@@ -9,12 +9,18 @@
 namespace deepum::sim {
 
 void
+EventQueue::pastTick(Tick when) const
+{
+    panic("scheduling event in the past: tick %llu < now %llu",
+          static_cast<unsigned long long>(when),
+          static_cast<unsigned long long>(curTick_));
+}
+
+void
 EventQueue::schedule(Tick when, EventFn fn)
 {
     if (when < curTick_)
-        panic("scheduling event in the past: tick %llu < now %llu",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(curTick_));
+        pastTick(when);
     heap_.push_back(Entry{when, nextSeq_++, fn});
     std::push_heap(heap_.begin(), heap_.end(), later);
 }

@@ -11,15 +11,19 @@
  * An EventFn is one invoke pointer plus two words of captures, and
  * it accepts only trivially copyable, trivially destructible
  * closures. Every simulated thread is an actor with at most one
- * pending event, so what that event needs lives in the actor and the
- * event captures `this` (uvm::Driver keeps its in-flight fault batch
- * and migration). A queue entry is then a trivially copyable 40-byte
+ * pending event, and none while the actor runs its next step in
+ * place, so what that event needs lives in the actor and the event
+ * captures `this` (uvm::Driver keeps its in-flight fault batch and
+ * migration). A queue entry is then a trivially copyable 40-byte
  * record: heap moves are plain copies, and dispatch never destroys
  * or frees anything.
  *
  * Internally the queue is a binary min-heap: the benchmark workloads
  * never hold more than two pending events, so a cleverer structure
  * would have nothing to speed up (DESIGN.md "Event-queue core").
+ * An actor whose last act in a callback would be to schedule its own
+ * next step asks runAheadTo() first and, when no pending event is due
+ * by then, runs that step in place; the heap still decides the order.
  */
 
 #pragma once
@@ -104,17 +108,50 @@ class EventQueue
     /** @return number of pending events. */
     std::size_t pending() const { return heap_.size(); }
 
-    /** Total number of events executed so far. */
+    /**
+     * May the caller run its next step at tick @p when in place,
+     * rather than schedule it? Yes only when no pending event is due
+     * at or before @p when: a step scheduled now would take the next
+     * seq, so it would fire after any event already due at @p when,
+     * and before every later one. On yes the clock moves to @p when
+     * and the step counts as one scheduled and one executed event,
+     * exactly as its heap round trip would have.
+     *
+     * Ask only as the last act of an event callback (or of a call
+     * made in that position): the step then runs where the callback
+     * returns, which is where the heap would have dispatched it. An
+     * actor that steps again loops; it never recurses.
+     */
+    bool
+    runAheadTo(Tick when)
+    {
+        if (!heap_.empty() && heap_.front().when <= when)
+            return false;
+        if (when < curTick_)
+            pastTick(when);
+        curTick_ = when;
+        ++nextSeq_;
+        ++executed_;
+        return true;
+    }
+
+    /** Events executed so far, in-place steps included. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Events scheduled so far; kept for perfbench/src/traced_stack.cc. */
+    /**
+     * Events scheduled so far, in-place steps included; kept for
+     * perfbench/src/traced_stack.cc.
+     */
     std::uint64_t nearScheduled() const { return nextSeq_; }
 
     /** Always 0; kept for perfbench/src/traced_stack.cc. */
     std::uint64_t overflowScheduled() const { return 0; }
 
     /**
-     * Run until the queue drains or @p limit events have executed.
+     * Run until the queue drains or @p limit events have been popped
+     * off the heap. @p limit counts heap dispatches: the in-place
+     * steps (runAheadTo()) an event's callback runs ride with that
+     * event's dispatch.
      * @return the final simulated time.
      *
      * The pop/dispatch machinery is DEEPUM_NOALLOC: draining the
@@ -127,7 +164,8 @@ class EventQueue
     DEEPUM_NOALLOC Tick run(std::uint64_t limit = ~std::uint64_t(0));
 
     /**
-     * Execute at most one event.
+     * Pop and execute at most one event (with the in-place steps its
+     * callback runs).
      * @return true if an event was executed.
      */
     DEEPUM_NOALLOC bool step();
@@ -169,6 +207,9 @@ class EventQueue
     };
 
   private:
+    /** Abort: @p when lies before the clock. */
+    [[noreturn]] void pastTick(Tick when) const;
+
     /** True when @p a fires after @p b (the (tick, seq) contract). */
     static bool
     later(const Entry &a, const Entry &b)

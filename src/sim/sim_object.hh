@@ -48,6 +48,12 @@ class SimObject
         eq_.scheduleIn(delay, fn);
     }
 
+    /**
+     * EventQueue::runAheadTo() @p delay ticks from now: true when the
+     * caller may run its next step in place instead of scheduling it.
+     */
+    bool runAheadIn(Tick delay) { return eq_.runAheadTo(eq_.now() + delay); }
+
   private:
     EventQueue &eq_;
     std::string name_;

@@ -347,7 +347,10 @@ Driver::handleFaults()
                       sim::Tracer::arg("pages", pages)});
     fb_.clear();
 
-    scheduleIn(cost, [this] { dispatchFaultBatch(); });
+    if (runAheadIn(cost))
+        dispatchFaultBatch();
+    else
+        scheduleIn(cost, [this] { dispatchFaultBatch(); });
 }
 
 void
@@ -393,7 +396,10 @@ Driver::dispatchFaultBatch()
 
     if (!migBusy_) {
         migBusy_ = true;
-        scheduleIn(0, [this] { migrationStep(); });
+        if (runAheadIn(0))
+            migrationStep();
+        else
+            scheduleIn(0, [this] { migrationStep(); });
     }
 }
 
@@ -512,8 +518,16 @@ Driver::migrationStep()
                         prefetchQueue_.size());
         }
 
-        eventq().schedule(t, [this] { finishMigration(); });
-        return; // busy until the completion event fires
+        // Land the migration in place when nothing else is due by
+        // t; otherwise busy until the completion event fires.
+        if (!eventq().runAheadTo(t)) {
+            eventq().schedule(t, [this] {
+                finishMigration();
+                migrationStep();
+            });
+            return;
+        }
+        finishMigration();
     }
 }
 
@@ -553,7 +567,6 @@ Driver::finishMigration()
         if (m.demand)
             resolveFault(b);
     }
-    migrationStep();
 }
 
 bool

@@ -15,12 +15,16 @@
  *  - the fault-handling thread (drain buffer -> fault queue, replay),
  *  - the migration thread (serves the fault queue first, then the
  *    prefetch queue; owns the PCIe link).
- * Each has at most one pending event, so what that event needs is
- * driver state, and every event captures `this` alone: the fault
- * batch in preprocessing is batch_ (the GPU stalls until replay, so
- * a second batch cannot be drained before the first is dispatched),
- * and the migration whose completion is pending is inFlight_ (one
- * at a time, migBusy_).
+ * Each has at most one pending event, and none while it runs its
+ * next step in place, so what that event needs is driver state, and
+ * every event captures `this` alone: the fault batch in
+ * preprocessing is batch_ (the GPU stalls until replay, so a second
+ * batch cannot be drained before the first is dispatched), and the
+ * migration whose completion is pending is inFlight_ (one at a time,
+ * migBusy_). Three steps run in place when no other event is due
+ * first (sim::EventQueue::runAheadTo): a drained batch's dispatch,
+ * the migration thread's start on it, and each migration's
+ * completion, after which the loop serves the next command.
  *
  * Per-block metadata lives in a dense BlockStore (block_store.hh):
  * a block's slab index is its offset in the UM heap, the LRU is
@@ -248,10 +252,14 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     /** Preprocessing done: queue batch_'s faults, then clear it. */
     void dispatchFaultBatch();
 
-    /** Migration thread body: serve one command, then reschedule. */
+    /**
+     * Migration thread body: serve commands until one's transfer has
+     * to wait for another event (its completion event then finishes
+     * it and calls back here), or the queues run dry.
+     */
     void migrationStep();
 
-    /** inFlight_'s transfer landed: map the block, then go on. */
+    /** inFlight_'s transfer landed: map the block. */
     void finishMigration();
 
     /**
@@ -305,7 +313,10 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     /** Blocks with the pinned bit set (outstanding demand faults). */
     std::uint64_t pinnedCount_ = 0;
 
-    /** The migration whose completion event is pending. */
+    /**
+     * The migration in flight: its completion event is pending, or
+     * migrationStep() is about to land it in place.
+     */
     struct Migration {
         MigrateCmd cmd;
         /** Frames reserved for it; 0 when none is in flight. */

@@ -313,53 +313,181 @@ class AccessTimes : public MockBackend
     }
 };
 
+/** An engine over an AccessTimes backend, everything resident. */
+struct TimedWorld {
+    sim::EventQueue eq;
+    sim::StatSet stats;
+    TimingConfig cfg;
+    FaultBuffer fb;
+    GpuEngine engine{eq, cfg, fb, stats};
+    AccessTimes backend;
+
+    TimedWorld()
+    {
+        backend.eq = &eq;
+        engine.setBackend(&backend);
+    }
+
+    KernelInfo
+    kernel(const char *name, sim::Tick compute, std::size_t accesses)
+    {
+        KernelInfo k;
+        k.name = name;
+        k.computeNs = compute;
+        for (std::size_t i = 0; i < accesses; ++i) {
+            k.accesses.push_back(
+                BlockAccess{static_cast<mem::BlockId>(i), 4, false});
+            backend.resident.insert(static_cast<mem::BlockId>(i));
+        }
+        return k;
+    }
+};
+
 TEST(GpuEngine, RunningRemainderChargesEachBatchExactly)
 {
     // computeNs*smBatch overflows 64 bits, and 21 accesses leave a
     // short last batch: [0, 8), [8, 16), [16, 21).
-    sim::EventQueue eq;
-    sim::StatSet stats;
-    TimingConfig cfg;
-    cfg.smBatch = 8;
-    FaultBuffer fb;
-    GpuEngine engine{eq, cfg, fb, stats};
-    AccessTimes backend;
-    backend.eq = &eq;
-    engine.setBackend(&backend);
-
+    TimedWorld w;
+    w.cfg.smBatch = 8;
     const sim::Tick c = (sim::Tick(1) << 63) + 12345;
     const std::size_t n = 21;
-    KernelInfo k;
-    k.name = "k";
-    k.computeNs = c;
-    for (std::size_t i = 0; i < n; ++i) {
-        k.accesses.push_back(
-            BlockAccess{static_cast<mem::BlockId>(i), 4, false});
-        backend.resident.insert(static_cast<mem::BlockId>(i));
-    }
+    KernelInfo k = w.kernel("k", c, n);
     sim::Tick retired = 0;
-    engine.launch(&k, [&] { retired = eq.now(); });
-    eq.run();
-    ASSERT_EQ(backend.at.size(), n);
+    w.engine.launch(&k, [&] { retired = w.eq.now(); });
+    w.eq.run();
+    ASSERT_EQ(w.backend.at.size(), n);
 
     auto charged = [&](std::size_t upto) {
         return static_cast<sim::Tick>(
             static_cast<__uint128_t>(c) * upto / n);
     };
     sim::Tick sum = 0;
-    for (std::size_t begin = 0; begin < n; begin += cfg.smBatch) {
-        std::size_t end = std::min(n, begin + cfg.smBatch);
+    for (std::size_t begin = 0; begin < n; begin += w.cfg.smBatch) {
+        std::size_t end = std::min(n, begin + w.cfg.smBatch);
         // A batch's accesses run when it issues; its charge is the
         // gap to the next batch (or to retirement).
-        sim::Tick issued = backend.at[begin];
-        sim::Tick next = end < n ? backend.at[end] : retired;
+        sim::Tick issued = w.backend.at[begin];
+        sim::Tick next = end < n ? w.backend.at[end] : retired;
         EXPECT_EQ(next - issued, charged(end) - charged(begin))
             << "batch [" << begin << ", " << end << ")";
         sum += next - issued;
     }
     EXPECT_EQ(sum, c);
-    EXPECT_EQ(engine.computeTicks(), c);
-    EXPECT_EQ(retired, cfg.kernelLaunchOverhead + c);
+    EXPECT_EQ(w.engine.computeTicks(), c);
+    EXPECT_EQ(retired, w.cfg.kernelLaunchOverhead + c);
+}
+
+TEST(GpuEngine, UnrelatedEventSeesTheHeapPathState)
+{
+    // The engine runs resident batches in place only up to the next
+    // pending event. An unrelated event inside the kernel must see
+    // exactly what it sees when every batch is a heap event: batches
+    // issued, compute charged (at issue) and accesses recorded.
+    TimedWorld w;
+    const sim::Tick c = 999983;
+    const std::size_t n = 20; // batches [0, 8), [8, 16), [16, 20)
+    KernelInfo k = w.kernel("k", c, n);
+    const sim::Tick start = w.cfg.kernelLaunchOverhead;
+    auto charged = [&](std::size_t upto) { return c * upto / n; };
+
+    struct Seen {
+        sim::Tick now;
+        std::uint64_t batches, compute, accesses;
+        bool busy;
+    };
+    std::vector<Seen> seen;
+    auto probe = [&w, &seen] {
+        seen.push_back(Seen{w.eq.now(),
+                            w.stats.get("gpu.batchesIssued"),
+                            w.engine.computeTicks(),
+                            w.backend.accesses, w.engine.busy()});
+    };
+    // At the second batch's issue tick (the probe was scheduled
+    // first, so it fires first), strictly inside the second batch,
+    // and at the retirement tick.
+    const sim::Tick second = start + charged(8);
+    const sim::Tick inside = start + charged(8) + 100'000;
+    const sim::Tick retire = start + c;
+    for (sim::Tick t : {second, inside, retire})
+        w.eq.schedule(t, [&probe] { probe(); });
+    w.engine.launch(&k, [] {});
+    w.eq.run();
+
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0].now, second);
+    EXPECT_EQ(seen[0].batches, 1u);
+    EXPECT_EQ(seen[0].compute, charged(8));
+    EXPECT_EQ(seen[0].accesses, 8u);
+    EXPECT_EQ(seen[1].now, inside);
+    EXPECT_EQ(seen[1].batches, 2u);
+    EXPECT_EQ(seen[1].compute, charged(16));
+    EXPECT_EQ(seen[1].accesses, 16u);
+    EXPECT_EQ(seen[2].now, retire);
+    EXPECT_EQ(seen[2].batches, 3u);
+    EXPECT_EQ(seen[2].compute, c);
+    EXPECT_EQ(seen[2].accesses, 20u);
+    EXPECT_TRUE(seen[2].busy); // retires after the probe
+    EXPECT_FALSE(w.engine.busy());
+    EXPECT_EQ(w.eq.now(), retire);
+}
+
+TEST(GpuEngine, KernelLaunchedFromOnDoneStartsOneOverheadLater)
+{
+    // k1's on_done launches k2, whose on_done launches k3 (no memory
+    // trace). Each starts kernelLaunchOverhead after the retirement
+    // (k3 then burns its compute), whether it starts in place or
+    // from the heap. Probes between k1's retirement and k2's first
+    // batch, and at that batch's tick, must not see k2 run.
+    TimedWorld w;
+    const sim::Tick l = w.cfg.kernelLaunchOverhead;
+    const sim::Tick c1 = 40'000, c2 = 30'000, c3 = 5'000;
+    KernelInfo k1 = w.kernel("k1", c1, 4);
+    KernelInfo k2 = w.kernel("k2", c2, 4);
+    KernelInfo k3;
+    k3.name = "k3";
+    k3.computeNs = c3;
+
+    sim::Tick k3_done = 0;
+    auto after_k2 = [&] {
+        w.engine.launch(&k3, [&] { k3_done = w.eq.now(); });
+    };
+    auto after_k1 = [&] { w.engine.launch(&k2, [&] { after_k2(); }); };
+
+    const sim::Tick k1_retire = l + c1;
+    const sim::Tick k2_start = k1_retire + l;
+    std::vector<std::pair<sim::Tick, std::size_t>> seen;
+    for (sim::Tick t : {k1_retire + l / 2, k2_start})
+        w.eq.schedule(t, [&] {
+            seen.emplace_back(w.eq.now(), w.backend.at.size());
+            EXPECT_EQ(w.backend.begins, 2);
+        });
+    w.engine.launch(&k1, [&] { after_k1(); });
+    w.eq.run();
+
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], std::make_pair(k1_retire + l / 2, std::size_t(4)));
+    EXPECT_EQ(seen[1], std::make_pair(k2_start, std::size_t(4)));
+    ASSERT_EQ(w.backend.at.size(), 8u);
+    EXPECT_EQ(w.backend.at[3], l);
+    EXPECT_EQ(w.backend.at[4], k2_start);
+    EXPECT_EQ(k3_done, k2_start + c2 + l + c3);
+    EXPECT_EQ(w.engine.computeTicks(), c1 + c2 + c3);
+    EXPECT_EQ(w.backend.ends, 3);
+}
+
+TEST(GpuEngineDeath, OnDoneSchedulingAfterItsLaunchPanics)
+{
+    // The next kernel starts where on_done returns, so a launch must
+    // be on_done's last act.
+    TimedWorld w;
+    KernelInfo k1 = w.kernel("k1", 1000, 1);
+    KernelInfo k2 = w.kernel("k2", 1000, 1);
+    w.engine.launch(&k1, [&] {
+        w.engine.launch(&k2, [] {});
+        w.eq.scheduleIn(0, [] {});
+    });
+    EXPECT_DEATH(w.eq.run(), "on_done scheduled an event after "
+                             "launching the next kernel");
 }
 
 TEST(GpuEngine, SequentialKernelsBothComplete)

@@ -4,14 +4,18 @@
  * harness, checking the paper's qualitative results hold on the
  * simulator — DeepUM beats naive UM on regular workloads, DLRM gets
  * little benefit, the ablation ordering of Figure 10, fault-count
- * reduction of Table 5, bit-exact determinism, and DeepUM with
- * every mechanism off reducing to UM.
+ * reduction of Table 5, bit-exact determinism, DeepUM with every
+ * mechanism off reducing to UM on every Figure-9 cell, and no-op
+ * events leaving every stat unchanged.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
+#include "bench/common.hh"
 #include "harness/experiment.hh"
 #include "models/registry.hh"
 
@@ -27,6 +31,20 @@ quickConfig()
     cfg.iterations = 14;
     cfg.warmup = 8;
     return cfg;
+}
+
+/** Expect distribution @p name to read the same in @p a and @p b. */
+void
+expectSameDist(const DistSummary &a, const DistSummary &b,
+               const std::string &name)
+{
+    EXPECT_EQ(a.count, b.count) << name;
+    EXPECT_EQ(a.min, b.min) << name;
+    EXPECT_EQ(a.max, b.max) << name;
+    EXPECT_EQ(a.mean, b.mean) << name;
+    EXPECT_EQ(a.stddev, b.stddev) << name;
+    EXPECT_EQ(a.p50, b.p50) << name;
+    EXPECT_EQ(a.p99, b.p99) << name;
 }
 
 TEST(Integration, DeepUmBeatsUmOnTransformer)
@@ -155,7 +173,8 @@ TEST(Integration, DeepUmWithEveryMechanismOffMatchesUm)
     // Metamorphic relation: without prefetching, pre-eviction (and
     // with it the protected-aware victim policy) and invalidation,
     // DeepUM's driver is the stock UM driver, so every stat the two
-    // runs share under gpu.* and uvm.* must be equal.
+    // runs share under gpu.* and uvm.* must be equal. Every Figure-9
+    // cell, plus mobilenet/256, a control that never evicts.
     ExperimentConfig cfg;
     cfg.iterations = 8;
     cfg.warmup = 2;
@@ -166,13 +185,9 @@ TEST(Integration, DeepUmWithEveryMechanismOffMatchesUm)
     auto shared = [](const std::string &name) {
         return name.rfind("gpu.", 0) == 0 || name.rfind("uvm.", 0) == 0;
     };
-    const std::pair<const char *, std::uint64_t> cells[] = {
-        {"bert-base", 30},
-        {"dlrm", 229376},
-        {"resnet152", 1792},
-        {"mobilenet", 256},
-    };
-    int evicting = 0;
+    std::vector<bench::Cell> cells = bench::fig9Grid();
+    cells.push_back({"mobilenet", 256});
+    std::size_t evicting = 0;
     for (const auto &[model, batch] : cells) {
         SCOPED_TRACE(std::string(model) + "/" + std::to_string(batch));
         torch::Tape tape = models::buildModel(model, batch);
@@ -191,21 +206,61 @@ TEST(Integration, DeepUmWithEveryMechanismOffMatchesUm)
             auto it = dum.dists.find(name);
             if (!shared(name) || it == dum.dists.end())
                 continue;
-            const DistSummary &e = it->second;
-            EXPECT_EQ(e.count, d.count) << name;
-            EXPECT_EQ(e.min, d.min) << name;
-            EXPECT_EQ(e.max, d.max) << name;
-            EXPECT_EQ(e.mean, d.mean) << name;
-            EXPECT_EQ(e.stddev, d.stddev) << name;
-            EXPECT_EQ(e.p50, d.p50) << name;
-            EXPECT_EQ(e.p99, d.p99) << name;
+            expectSameDist(it->second, d, name);
             ++dists;
         }
         EXPECT_GE(scalars, 23u);
         EXPECT_GE(dists, 2u);
         evicting += um.stats.at("uvm.demandEvictions") != 0;
     }
-    EXPECT_EQ(evicting, 3); // mobilenet/256 fits in GPU memory
+    // dlrm/96K and mobilenet/256 fit in GPU memory; the other 22
+    // cells evict.
+    EXPECT_EQ(evicting, cells.size() - 2);
+}
+
+TEST(Integration, NoOpEventsChangeNoStat)
+{
+    // Metamorphic relation: the time-series sampler's events only
+    // read state, so attaching it, at an interval prime to every
+    // modelled latency, puts no-op events at arbitrary ticks and must
+    // leave every stat equal. It guards the order in which the GPU's
+    // and the driver's in-place steps and the heap's events fire.
+    ExperimentConfig cfg;
+    cfg.iterations = 8;
+    cfg.warmup = 2;
+    ExperimentConfig sampled = cfg;
+    sampled.timeseriesFile = ::testing::TempDir() + "noop_events.csv";
+    sampled.timeseriesInterval = 9973;
+    const bench::Cell cells[] = {
+        {"bert-base", 30},
+        {"dlrm", 229376},
+        {"resnet152", 1792},
+    };
+    for (const auto &[model, batch] : cells) {
+        torch::Tape tape = models::buildModel(model, batch);
+        for (SystemKind kind : {SystemKind::Um, SystemKind::DeepUm,
+                                SystemKind::Ideal, SystemKind::OcDnn}) {
+            SCOPED_TRACE(std::string(model) + "/" +
+                         std::to_string(batch) + " " +
+                         systemName(kind));
+            RunResult plain = runExperiment(tape, kind, cfg);
+            RunResult with = runExperiment(tape, kind, sampled);
+            ASSERT_TRUE(plain.ok && with.ok);
+            // DEEPUM_VALIDATE builds count their audits in validate.*,
+            // and the sampler is one more audited component.
+            auto audit = [](const auto &kv) {
+                return kv.first.rfind("validate.", 0) == 0;
+            };
+            std::erase_if(with.stats, audit);
+            std::erase_if(plain.stats, audit);
+            EXPECT_EQ(with.ticksPerIter, plain.ticksPerIter);
+            EXPECT_EQ(with.stats, plain.stats);
+            ASSERT_EQ(with.dists.size(), plain.dists.size());
+            for (const auto &[name, d] : plain.dists)
+                expectSameDist(with.dists.at(name), d, name);
+        }
+    }
+    std::remove(sampled.timeseriesFile.c_str());
 }
 
 TEST(Integration, SeedChangesIrregularWorkloadTiming)

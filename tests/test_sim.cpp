@@ -221,6 +221,88 @@ TEST(EventQueue, ScheduleCountersForPerfbench)
     EXPECT_EQ(eq.nearScheduled(), 0u);
 }
 
+TEST(EventQueue, RunAheadRefusesWhenAnEventIsDueAtTheTick)
+{
+    // A step scheduled at 100 would take a larger seq than the event
+    // already pending there, so that event fires first: the answer
+    // must be no, and nothing may change.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(100, [&] { order.push_back(1); });
+    eq.schedule(40, [&] {
+        std::uint64_t executed = eq.executed();
+        std::uint64_t scheduled = eq.nearScheduled();
+        EXPECT_FALSE(eq.runAheadTo(100));
+        EXPECT_EQ(eq.now(), 40u);
+        EXPECT_EQ(eq.executed(), executed);
+        EXPECT_EQ(eq.nearScheduled(), scheduled);
+        eq.schedule(100, [&] { order.push_back(2); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, RunAheadRefusesWhenAnEventIsDueBefore)
+{
+    EventQueue eq;
+    eq.schedule(99, [] {});
+    EXPECT_FALSE(eq.runAheadTo(100));
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_EQ(eq.nearScheduled(), 1u);
+}
+
+TEST(EventQueue, RunAheadAcceptsAnEmptyQueueAndLaterEvents)
+{
+    EventQueue eq;
+    EXPECT_TRUE(eq.runAheadTo(0));
+    EXPECT_TRUE(eq.runAheadTo(50));
+    EXPECT_EQ(eq.now(), 50u);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.nearScheduled(), 2u);
+
+    int fired = 0;
+    eq.schedule(101, [&] { ++fired; });
+    eq.schedule(300, [&] { ++fired; });
+    EXPECT_TRUE(eq.runAheadTo(100));
+    EXPECT_EQ(eq.now(), 100u);
+    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(eq.nearScheduled(), 5u);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(fired, 0);
+    eq.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(eq.executed(), 5u);
+}
+
+TEST(EventQueue, RunLimitCountsHeapDispatches)
+{
+    // One dispatch whose callback takes three steps in place counts
+    // once against the limit, and four times in executed().
+    EventQueue eq;
+    int steps = 0;
+    eq.schedule(10, [&] {
+        ++steps;
+        while (steps < 4 && eq.runAheadTo(eq.now() + 10))
+            ++steps;
+    });
+    eq.schedule(1000, [&] { ++steps; });
+    eq.run(1);
+    EXPECT_EQ(steps, 4);
+    EXPECT_EQ(eq.now(), 40u);
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
+TEST(EventQueueDeath, RunAheadIntoThePastPanics)
+{
+    EventQueue eq;
+    eq.schedule(100, [] {});
+    eq.run();
+    EXPECT_DEATH(eq.runAheadTo(50),
+                 "scheduling event in the past: tick 50 < now 100");
+}
+
 namespace property {
 
 /**
@@ -323,6 +405,89 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnRandomPatterns)
         ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
         EXPECT_EQ(got, want) << "seed " << seed;
         EXPECT_EQ(eq.now(), ref.now()) << "seed " << seed;
+    }
+}
+
+TEST(EventQueueProperty, InPlaceStepsKeepTheReferenceOrder)
+{
+    // The same random self-expanding schedules, but each event's last
+    // child is its tail step: the in-place run asks runAheadTo() and,
+    // on yes, loops on that child instead of scheduling it. Firing
+    // order, ticks and the event counters must all equal the
+    // heap-only run, which the reference heap checks in turn.
+    constexpr int kTotal = 5000;
+    constexpr int kRoots = 32;
+
+    for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
+        Rng rng(seed);
+        std::vector<Tick> delay(kTotal);
+        std::vector<int> kids(kTotal);
+        for (int i = 0; i < kTotal; ++i) {
+            std::uint64_t cls = rng.below(100);
+            if (cls < 15)
+                delay[i] = 0;
+            else if (cls < 60)
+                delay[i] = 1 + rng.below(500);
+            else if (cls < 85)
+                delay[i] = 1 + rng.below(50'000);
+            else
+                delay[i] = 1 + rng.below(2'000'000);
+            kids[i] = static_cast<int>(rng.below(3));
+        }
+
+        std::uint64_t in_place = 0, refused = 0;
+        auto runOne = [&](auto &q, auto &&may_run_in_place) {
+            std::vector<std::pair<int, Tick>> log;
+            int next = kRoots;
+            std::function<void(int)> fire = [&](int id) {
+                for (;;) {
+                    log.emplace_back(id, q.now());
+                    int last = -1;
+                    for (int j = 0; j < kids[id] && next < kTotal; ++j) {
+                        if (last >= 0)
+                            q.schedule(q.now() + delay[last],
+                                       [&fire, last] { fire(last); });
+                        last = next++;
+                    }
+                    if (last < 0)
+                        return;
+                    Tick when = q.now() + delay[last];
+                    if (!may_run_in_place(q, when)) {
+                        q.schedule(when, [&fire, last] { fire(last); });
+                        return;
+                    }
+                    id = last;
+                }
+            };
+            for (int id = 0; id < kRoots; ++id)
+                q.schedule(delay[id], [&fire, id] { fire(id); });
+            while (q.step()) {
+            }
+            return log;
+        };
+        auto never = [](auto &, Tick) { return false; };
+        auto ask = [&](EventQueue &q, Tick when) {
+            bool yes = q.runAheadTo(when);
+            ++(yes ? in_place : refused);
+            return yes;
+        };
+
+        EventQueue heap_only, stepping;
+        property::RefQueue ref;
+        auto want = runOne(ref, never);
+        auto heap_log = runOne(heap_only, never);
+        auto got = runOne(stepping, ask);
+        ASSERT_EQ(heap_log, want) << "seed " << seed;
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        EXPECT_EQ(got, want) << "seed " << seed;
+        EXPECT_EQ(stepping.now(), ref.now()) << "seed " << seed;
+        EXPECT_EQ(stepping.executed(), heap_only.executed())
+            << "seed " << seed;
+        EXPECT_EQ(stepping.nearScheduled(), heap_only.nearScheduled())
+            << "seed " << seed;
+        // Both answers occur, or the case proves nothing.
+        EXPECT_GT(in_place, 100u) << "seed " << seed;
+        EXPECT_GT(refused, 100u) << "seed " << seed;
     }
 }
 

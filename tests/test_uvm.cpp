@@ -461,6 +461,50 @@ TEST(UvmDriver, FaultQueueHasPriorityOverPrefetchQueue)
     EXPECT_EQ(w.stats.get("uvm.replaysSent"), 1u);
 }
 
+TEST(UvmDriver, MigrationCompletionDueAfterAPendingEventIsLeftToTheHeap)
+{
+    // Two queued prefetches of unpopulated blocks: each zero-fill
+    // lands `fill` after it starts, the second right where the first
+    // lands. Probes at the first landing tick (scheduled first, so
+    // they fire first) and during the second migration must see the
+    // heap path's state: a completion runs in place only when nothing
+    // else is due by its tick.
+    World w;
+    mem::VAddr va = w.reg(2);
+    mem::BlockId b0 = mem::blockOf(va);
+    const sim::Tick fill =
+        w.cfg.zeroFillPerPage * mem::kPagesPerBlock + w.cfg.mapBlock;
+
+    struct Seen {
+        sim::Tick now;
+        bool first, second;
+        std::uint64_t completed;
+    };
+    std::vector<Seen> seen;
+    auto probe = [&] {
+        seen.push_back(Seen{w.eq.now(),
+                            w.drv.blockInfo(b0).loc == Loc::Device,
+                            w.drv.blockInfo(b0 + 1).loc == Loc::Device,
+                            w.stats.get("uvm.prefetchCompleted")});
+    };
+    for (sim::Tick t : {fill, fill + fill / 2})
+        w.eq.schedule(t, [&probe] { probe(); });
+    ASSERT_TRUE(w.drv.enqueuePrefetch(b0, 0));
+    ASSERT_TRUE(w.drv.enqueuePrefetch(b0 + 1, 0));
+    w.eq.run();
+
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0].now, fill);
+    EXPECT_FALSE(seen[0].first);
+    EXPECT_EQ(seen[0].completed, 0u);
+    EXPECT_EQ(seen[1].now, fill + fill / 2);
+    EXPECT_TRUE(seen[1].first);
+    EXPECT_FALSE(seen[1].second);
+    EXPECT_EQ(seen[1].completed, 1u);
+    EXPECT_EQ(w.stats.get("uvm.prefetchCompleted"), 2u);
+    EXPECT_EQ(w.eq.now(), 2 * fill);
+}
+
 /**
  * Refuses every non-demand request and counts the calls; demand
  * requests get the stock least-recently-migrated victim.
